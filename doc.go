@@ -18,8 +18,10 @@
 // baseline topologies in internal/topo, the cycle-accurate simulator in
 // internal/sim (an active-set engine whose steady-state loop is
 // allocation-free), the static-route compiler in internal/routing (whose
-// RouteTable interns per-pair paths that packets borrow and campaigns
-// share), the DSENT-substitute power models in internal/power, and the
+// RouteTable — a compact next-hop byte table for minimal routing, or
+// closed-form grid routes for the mesh/torus/FBF baselines — writes each
+// packet's next-hop words at enqueue and is shared by campaigns), the
+// DSENT-substitute power models in internal/power, and the
 // per-figure experiment harness in internal/exp — which also carries the
 // reproduction manifest mapping every figure to its declarative sweeps
 // (consumed by cmd/snrepro, the resumable paper-reproduction driver; see

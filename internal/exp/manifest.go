@@ -271,17 +271,7 @@ func scaleManifest(o Options) []Figure {
 		b.Traffic = slimnoc.TrafficSpec{Pattern: pattern}
 		return b
 	}
-	// The grid baselines keep dense DOR tables, and since the route tables
-	// started interning per-hop next-hop words for the arbitration fast
-	// path, the long-path 10k instances intern ~390 MiB (t2d10k averages
-	// ~18 hops across 1260^2 pairs) — a deliberate table-bytes-for-cycle-
-	// loop-speed trade. 512 MiB fits every 10k instance while still
-	// rejecting the 100k grid family, whose dense tables run to gigabytes.
-	// The SN instances are unaffected: generic-minimal routes compile to
-	// the compact one-byte-per-pair form well inside the old budget, so the
-	// CI smoke figure keeps the tighter 256 MiB guard.
-	const budget = int64(1) << 29
-	const smokeBudget = int64(1) << 28
+	const budget = int64(1) << 28 // 256 MiB per point
 
 	nets := []string{"sn_subgr_10000", "cm10k", "t2d10k", "fbf10k"}
 	patterns := []string{"rnd", "adv1"}
@@ -303,10 +293,10 @@ func scaleManifest(o Options) []Figure {
 			MemBudget: budget,
 			Notes: "Each search brackets the load where the topology's throughput collapses. " +
 				"The cm100k/t2d100k/fbf100k presets and sn_subgr_99856 extend the family to ~100k endpoints " +
-				"but are deliberately absent: the SN's minimal routes now compress to one next-hop byte per pair " +
-				"(12482^2 ~ 149 MiB, inside even the smoke budget) but one saturated probe on 12k routers is hours " +
-				"of engine work, and the grid baselines keep dense DOR tables in the gigabytes; " +
-				"run them explicitly with patience (and, for the grids, a raised -mem-budget).",
+				"but are deliberately absent: one saturated probe on 12k routers is hours of engine work. " +
+				"Their routes fit the budget (the SN's next-hop table is 12482^2 bytes ~ 149 MiB, the grids' " +
+				"closed-form routes a few hundred KiB), but compiling a 100k grid validates all 157M router pairs, " +
+				"which takes minutes; run them explicitly with patience.",
 		},
 		{
 			ID: "scale-smoke", Title: "10k-endpoint smoke point under memory budget", Section: "CI",
@@ -318,7 +308,7 @@ func scaleManifest(o Options) []Figure {
 					Loads:   []float64{0.008},
 				},
 			}},
-			MemBudget: smokeBudget,
+			MemBudget: budget,
 			Notes:     "One low-load point on the q=25 subgroup SN (1250 routers, 10000 endpoints): the idle-heavy regime the event calendar accelerates, run inside a 256 MiB budget the SN's table never strains.",
 		},
 	}

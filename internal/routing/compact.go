@@ -1,20 +1,15 @@
-// Compact (next-hop-only) route tables. A dense RouteTable interns every
-// (src,dst) path — three int32 offsets per pair plus the path bytes — which
-// reaches gigabytes at the paper's 100k-endpoint scale (§3: SN networks keep
-// thousands of routers even at high concentration). But the deterministic
-// minimal routes those networks use (MinimalRouting / NewMinimal) are
-// next-hop-consistent by construction: the path from src is src followed by
-// the path from next[src][dst], because MinPath itself walks the per-pair
-// next-hop function. The whole table therefore compresses to ONE byte per
-// pair — the output-port index at src toward dst — and paths, ascending VC
-// assignments and next-hop words are reconstructed on the fly by walking the
-// next-hop bytes through the adjacency, byte-identical to what the dense
-// table would have interned.
+// Compact (next-hop-only) route tables. The deterministic minimal routes
+// generic networks use (MinimalRouting / NewMinimal) are next-hop-consistent
+// by construction: the path from src is src followed by the path from
+// next[src][dst], because MinPath itself walks the per-pair next-hop
+// function. The whole route set therefore compresses to ONE byte per pair —
+// the output-port index at src toward dst — and a route's ascending VCs and
+// next-hop words are reconstructed on the fly by walking the next-hop bytes
+// through the adjacency, identical to what MinimalRouting.Route produces.
 //
 // CompileCompact builds that form directly with one BFS per destination and
 // O(nr) scratch, never materialising the all-pairs Paths matrix (whose
-// dist+next arrays are 6 bytes per pair — themselves over budget at 100k
-// endpoints).
+// dist+next arrays are 6 bytes per pair).
 
 package routing
 
@@ -24,33 +19,28 @@ import (
 	"repro/internal/topo"
 )
 
-// cnhNone marks a pair with no next hop: src == dst or dst unreachable.
-// Compact compilation caps the radix at 254 so the sentinel can never be a
+// nhNone marks a pair with no next hop: src == dst or dst unreachable.
+// Compiled tables cap the radix at maxPorts so the sentinel can never be a
 // real port.
-const cnhNone = 0xff
+const nhNone = 0xff
 
 // CompileCompact builds the compact next-hop form of deterministic minimal
 // routing with ascending VCs — the same routes MinimalRouting{NewMinimal(net)}
-// produces and Compile+CompilePorts would intern, reproduced from one byte
-// per (src,dst) pair. The returned table reports Compact() true: callers
-// reconstruct routes with AppendRoute instead of borrowing Route views. The
-// adjacency is retained (not copied) and must not be mutated afterwards —
-// the same immutability contract WithNetwork already demands.
+// produces, from one byte per (src,dst) pair. The adjacency is retained (not
+// copied) and must not be mutated afterwards.
 func CompileCompact(net *topo.Network, vcs int) (*RouteTable, error) {
 	nr := net.Nr
 	if vcs < 1 {
 		return nil, fmt.Errorf("routing: CompileCompact needs vcs >= 1, got %d", vcs)
 	}
-	for r := 0; r < nr; r++ {
-		if len(net.Adj[r]) > 254 {
-			return nil, fmt.Errorf("routing: router %d radix %d exceeds the compact table's 254-port limit", r, len(net.Adj[r]))
-		}
+	if err := checkRadix(net); err != nil {
+		return nil, err
 	}
 	t := &RouteTable{
-		nr:   nr,
-		vcs:  vcs,
-		cnh:  make([]uint8, nr*nr),
-		cadj: net.Adj,
+		nr:  nr,
+		vcs: vcs,
+		adj: net.Adj,
+		nh:  make([]uint8, nr*nr),
 	}
 	// One BFS per destination, O(nr) scratch. The BFS layers reproduce
 	// NewMinimal's dist exactly; the next hop is NewMinimal's deterministic
@@ -75,7 +65,7 @@ func CompileCompact(net *topo.Network, vcs int) (*RouteTable, error) {
 			}
 		}
 		for r := 0; r < nr; r++ {
-			e := cnhNone
+			e := nhNone
 			if r != dst && dist[r] > 0 {
 				for pos, v := range net.Adj[r] {
 					if dist[v] == dist[r]-1 {
@@ -84,118 +74,35 @@ func CompileCompact(net *topo.Network, vcs int) (*RouteTable, error) {
 					}
 				}
 			}
-			t.cnh[r*nr+dst] = uint8(e)
+			t.nh[r*nr+dst] = uint8(e)
 		}
 	}
 	return t, nil
 }
 
-// Compact reports whether this is a next-hop-only table: Route/Ports/
-// NextWords views are unavailable and callers must reconstruct routes into
-// their own buffers with AppendRoute.
-func (t *RouteTable) Compact() bool { return t.cnh != nil }
-
-// EstimateDenseBytes computes the resident footprint of the dense table that
-// Compile + CompilePorts would intern for deterministic minimal routes on
-// this network, without building it: one BFS per destination censuses the
-// pairwise distances. A pair at distance d interns 12 B of offsets,
-// (d+1)*4 B of routers, d B of hop VCs, d B of ports and (d+1)*4 B of
-// next-hop words — 20 + 10*d bytes — so the total is exact on connected
-// networks (unreachable pairs intern an empty path and are overcounted by
-// 8 B, an error in the safe direction for a budget check). The offset floor
-// of nr^2 x 12 badly underestimates long-path topologies: a 35x36 torus at
-// 10k endpoints floors at 19 MiB but interns ~370 MiB once its ~18-hop
-// average routes are laid down. The BFS census costs O(nr x edges), the
-// same as CompileCompact itself.
-func EstimateDenseBytes(net *topo.Network) int64 {
-	nr := net.Nr
-	var sumDist int64
-	dist := make([]int32, nr)
-	queue := make([]int32, 0, nr)
-	for dst := 0; dst < nr; dst++ {
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[dst] = 0
-		queue = append(queue[:0], int32(dst))
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range net.Adj[u] {
-				if dist[v] < 0 {
-					dist[v] = dist[u] + 1
-					queue = append(queue, int32(v))
-				}
-			}
-		}
-		for r := 0; r < nr; r++ {
-			if dist[r] > 0 {
-				sumDist += int64(dist[r])
-			}
-		}
-	}
-	return 20*int64(nr)*int64(nr) + 10*sumDist
-}
-
-// AppendRoute reconstructs the src->dst route into the caller's four buffers
-// and returns them: the router path (inclusive of both endpoints), the
-// per-hop ascending VCs, the per-hop output ports, and the NextEject-
-// terminated next-hop words — element for element what Route, Ports and
-// NextWords return on a dense CompilePorts'd table of the same routes.
-// Allocation-free once the buffers have reached their high-water capacity.
-// An unreachable pair appends nothing; src == dst appends the single-router
-// path. Only valid on compact tables.
+// appendNextCompact is AppendNext for compact tables: walk the next-hop
+// bytes from src, assigning ascending VCs capped at vcs-1.
 //
 //sim:hot
-func (t *RouteTable) AppendRoute(path []int32, vcs, ports []uint8, next []uint32, src, dst int) ([]int32, []uint8, []uint8, []uint32) {
-	if t.cnh == nil {
-		panic("routing: AppendRoute on a non-compact table (use Route/Ports/NextWords views)")
-	}
-	if src == dst {
-		//detlint:allow hotalloc amortised append into caller-owned buffers whose capacity the packet freelist retains across cycles
-		return append(path, int32(src)), vcs, ports, append(next, NextEject)
-	}
-	if t.cnh[src*t.nr+dst] == cnhNone {
-		return path, vcs, ports, next // unreachable: the dense table interns an empty path
-	}
-	cur := src
-	path = append(path, int32(cur))
-	for hop := 0; cur != dst; hop++ {
-		if hop >= t.nr {
-			panic("routing: compact next-hop walk does not terminate (corrupt table or mutated adjacency)")
+func (t *RouteTable) appendNextCompact(next []uint32, src, dst int) []uint32 {
+	if src != dst {
+		if t.nh[src*t.nr+dst] == nhNone {
+			return next // unreachable
 		}
-		p := t.cnh[cur*t.nr+dst]
-		vc := hop
-		if vc >= t.vcs {
-			vc = t.vcs - 1
+		cur := src
+		for hop := 0; cur != dst; hop++ {
+			if hop >= t.nr {
+				panic("routing: compact next-hop walk does not terminate (corrupt table or mutated adjacency)")
+			}
+			p := t.nh[cur*t.nr+dst]
+			vc := hop
+			if vc >= t.vcs {
+				vc = t.vcs - 1
+			}
+			next = append(next, NextWord(int(p), vc, t.vcs))
+			cur = t.adj[cur][p]
 		}
-		vcs = append(vcs, uint8(vc))
-		ports = append(ports, p)
-		next = append(next, NextWord(int(p), vc, t.vcs))
-		cur = t.cadj[cur][p]
-		path = append(path, int32(cur))
 	}
 	//detlint:allow hotalloc amortised append into a caller-owned buffer whose capacity the packet freelist retains across cycles
-	return path, vcs, ports, append(next, NextEject)
-}
-
-// appendPathOnly is the path-only walk behind AppendPath/AppendPathTail on
-// compact tables.
-func (t *RouteTable) appendPathOnly(buf []int, src, dst int) []int {
-	if src == dst {
-		return append(buf, src)
-	}
-	if t.cnh[src*t.nr+dst] == cnhNone {
-		return buf
-	}
-	cur := src
-	buf = append(buf, cur)
-	for hop := 0; cur != dst; hop++ {
-		if hop >= t.nr {
-			panic("routing: compact next-hop walk does not terminate (corrupt table or mutated adjacency)")
-		}
-		cur = t.cadj[cur][t.cnh[cur*t.nr+dst]]
-		buf = append(buf, cur)
-	}
-	return buf
+	return append(next, NextEject)
 }

@@ -20,107 +20,55 @@ func compactNets(t *testing.T) map[string]*topo.Network {
 }
 
 // TestCompactMatchesDense verifies, for every (src,dst) pair, that the
-// compact table's AppendRoute reconstruction is element-for-element identical
-// to the dense table's Route/Ports/NextWords views of the same deterministic
-// minimal routes — the equivalence the simulator's byte-identity under
-// compact tables rests on.
+// compact table reproduces the dense reference — the next-hop words and
+// router path derived pair by pair from MinimalRouting.Route over the
+// all-pairs Paths matrix — element for element: the equivalence the
+// simulator's byte-identity under compact tables rests on.
 func TestCompactMatchesDense(t *testing.T) {
 	const vcs = 2
 	for name, net := range compactNets(t) {
 		net := net
 		t.Run(name, func(t *testing.T) {
-			dense, err := Compile(net.Nr, &MinimalRouting{P: NewMinimal(net), VCs: vcs})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := dense.CompilePorts(net.Adj); err != nil {
-				t.Fatal(err)
-			}
 			compact, err := CompileCompact(net, vcs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !compact.Compact() || dense.Compact() {
-				t.Fatalf("Compact() flags: compact=%v dense=%v", compact.Compact(), dense.Compact())
+			if !compact.Compact() {
+				t.Fatal("CompileCompact built a non-compact table")
 			}
-			if compact.Nr() != net.Nr || compact.NumVCs() != vcs {
-				t.Fatalf("compact table dims %d/%d, want %d/%d", compact.Nr(), compact.NumVCs(), net.Nr, vcs)
-			}
-			var path []int32
-			var vcb, ports []uint8
-			var next []uint32
-			for src := 0; src < net.Nr; src++ {
-				for dst := 0; dst < net.Nr; dst++ {
-					wantPath, wantVCs := dense.Route(src, dst)
-					wantPorts := dense.Ports(src, dst)
-					wantNext := dense.NextWords(src, dst)
-					path, vcb, ports, next = compact.AppendRoute(path[:0], vcb[:0], ports[:0], next[:0], src, dst)
-					if len(path) != len(wantPath) {
-						t.Fatalf("%d->%d: path len %d, want %d", src, dst, len(path), len(wantPath))
-					}
-					for i := range path {
-						if path[i] != wantPath[i] {
-							t.Fatalf("%d->%d: path[%d] = %d, want %d", src, dst, i, path[i], wantPath[i])
-						}
-					}
-					if len(vcb) != len(wantVCs) || len(ports) != len(wantPorts) || len(next) != len(wantNext) {
-						t.Fatalf("%d->%d: vcs/ports/next lens %d/%d/%d, want %d/%d/%d",
-							src, dst, len(vcb), len(ports), len(next), len(wantVCs), len(wantPorts), len(wantNext))
-					}
-					for i := range vcb {
-						if vcb[i] != wantVCs[i] {
-							t.Fatalf("%d->%d: vc[%d] = %d, want %d", src, dst, i, vcb[i], wantVCs[i])
-						}
-						if ports[i] != wantPorts[i] {
-							t.Fatalf("%d->%d: port[%d] = %d, want %d", src, dst, i, ports[i], wantPorts[i])
-						}
-					}
-					for i := range next {
-						if next[i] != wantNext[i] {
-							t.Fatalf("%d->%d: next[%d] = %#x, want %#x", src, dst, i, next[i], wantNext[i])
-						}
-					}
-				}
-			}
+			checkTable(t, net, &MinimalRouting{P: NewMinimal(net), VCs: vcs}, compact)
 		})
 	}
 }
 
-// TestCompactPathHelpers pins the AppendPath/AppendPathTail walks and the
-// mode accessors on a compact table against the dense equivalents.
+// TestCompactPathHelpers pins the AppendPath/AppendPathTail walks on a
+// compact table against the reference minimal paths.
 func TestCompactPathHelpers(t *testing.T) {
 	net := snNet(t, 5, 4, core.LayoutSubgroup)
-	dense, err := Compile(net.Nr, &MinimalRouting{P: NewMinimal(net), VCs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := NewMinimal(net)
 	compact, err := CompileCompact(net, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !compact.HasPorts() {
-		t.Fatal("compact table must report HasPorts (ports ride in AppendRoute)")
-	}
-	if got, want := compact.Pairs(), net.Nr*net.Nr; got != want {
-		t.Fatalf("Pairs() = %d, want %d", got, want)
-	}
-	for src := 0; src < net.Nr; src++ {
-		for dst := 0; dst < net.Nr; dst++ {
-			want := dense.AppendPath(nil, src, dst)
+	for src := 0; src < net.Nr; src += 7 {
+		for dst := 0; dst < net.Nr; dst += 5 {
+			want := p.MinPath(src, dst)
 			got := compact.AppendPath(nil, src, dst)
-			wantTail := dense.AppendPathTail([]int{-7}, src, dst)
 			gotTail := compact.AppendPathTail([]int{-7}, src, dst)
-			if len(got) != len(want) || len(gotTail) != len(wantTail) {
-				t.Fatalf("%d->%d: lens %d/%d, want %d/%d", src, dst, len(got), len(gotTail), len(want), len(wantTail))
+			if len(got) != len(want) || len(gotTail) != len(want) {
+				t.Fatalf("%d->%d: path lens %d/%d, want %d", src, dst, len(got), len(gotTail), len(want))
 			}
 			for i := range got {
 				if got[i] != want[i] {
 					t.Fatalf("%d->%d: AppendPath[%d] = %d, want %d", src, dst, i, got[i], want[i])
 				}
 			}
-			for i := range gotTail {
-				if gotTail[i] != wantTail[i] {
-					t.Fatalf("%d->%d: AppendPathTail[%d] = %d, want %d", src, dst, i, gotTail[i], wantTail[i])
+			if gotTail[0] != -7 {
+				t.Fatalf("%d->%d: AppendPathTail clobbered the prefix: %v", src, dst, gotTail)
+			}
+			for i := 1; i < len(gotTail); i++ {
+				if gotTail[i] != want[i] {
+					t.Fatalf("%d->%d: AppendPathTail[%d] = %d, want %d", src, dst, i, gotTail[i], want[i])
 				}
 			}
 		}
@@ -128,18 +76,10 @@ func TestCompactPathHelpers(t *testing.T) {
 }
 
 // TestCompactMemBytes pins the compact footprint at one byte per pair (plus
-// nothing else that scales with nr^2) and checks the dense/compact ratio on
-// a real SN instance — the compression that brings the paper's 100k-endpoint
-// tables under a 256 MiB budget.
+// nothing else that scales with nr^2) — the compression that brings the
+// paper's 100k-endpoint tables under a 256 MiB budget.
 func TestCompactMemBytes(t *testing.T) {
 	net := snNet(t, 5, 4, core.LayoutSubgroup)
-	dense, err := Compile(net.Nr, &MinimalRouting{P: NewMinimal(net), VCs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dense.CompilePorts(net.Adj); err != nil {
-		t.Fatal(err)
-	}
 	compact, err := CompileCompact(net, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -148,90 +88,27 @@ func TestCompactMemBytes(t *testing.T) {
 	if got := compact.MemBytes(); got != pairs {
 		t.Fatalf("compact MemBytes = %d, want %d (one byte per pair)", got, pairs)
 	}
-	if dense.MemBytes() < 12*pairs {
-		t.Fatalf("dense MemBytes = %d, below its %d offset floor?", dense.MemBytes(), 12*pairs)
-	}
 	// The acceptance arithmetic for the 100k-endpoint preset (q=79 SN:
-	// 2*79^2 = 12482 routers): dense floor over 1.5 GiB, compact under
-	// 256 MiB.
+	// 2*79^2 = 12482 routers): compact under 256 MiB.
 	const nr100k = 12482
-	denseFloor := int64(nr100k) * int64(nr100k) * 12
-	compactSize := int64(nr100k) * int64(nr100k)
-	if denseFloor <= 1<<30 {
-		t.Fatalf("dense floor %d unexpectedly under 1 GiB", denseFloor)
-	}
-	if compactSize >= 256<<20 {
+	if compactSize := int64(nr100k) * int64(nr100k); compactSize >= 256<<20 {
 		t.Fatalf("compact size %d not under 256 MiB", compactSize)
 	}
 }
 
-// TestEstimateDenseBytesExact pins the BFS distance census against the real
-// interned footprint: on connected networks the estimate must equal
-// Compile+CompilePorts' MemBytes to the byte. A long-path topology (an
-// 8x9 torus, the shape of the 10k-endpoint scale baselines) rides along to
-// cover the regime where path bytes dwarf the nr^2 x 12 offset floor —
-// the case the compact auto-selection exists for.
-func TestEstimateDenseBytesExact(t *testing.T) {
-	nets := compactNets(t)
-	nets["t2d"] = topo.Torus2D(8, 9, 1)
-	for name, net := range nets {
-		net := net
-		t.Run(name, func(t *testing.T) {
-			dense, err := Compile(net.Nr, &MinimalRouting{P: NewMinimal(net), VCs: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := dense.CompilePorts(net.Adj); err != nil {
-				t.Fatal(err)
-			}
-			got := EstimateDenseBytes(net)
-			if want := dense.MemBytes(); got != want {
-				t.Fatalf("EstimateDenseBytes = %d, want exact dense MemBytes %d", got, want)
-			}
-			floor := int64(net.Nr) * int64(net.Nr) * 12
-			if got <= floor {
-				t.Fatalf("estimate %d not above the %d offset floor — census lost the path bytes", got, floor)
-			}
-		})
-	}
-}
-
-// TestCompactRejectsViews verifies the dense-view entry points fail loudly on
-// a compact table instead of silently misrouting.
-func TestCompactRejectsViews(t *testing.T) {
-	net := topo.FBF(3, 3, 1)
-	compact, err := CompileCompact(net, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := compact.CompilePorts(net.Adj); err == nil {
-		t.Fatal("CompilePorts on a compact table must error")
-	}
-	if compact.Ports(0, 1) != nil || compact.NextWords(0, 1) != nil {
-		t.Fatal("Ports/NextWords views must be nil on a compact table")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Route on a compact table must panic")
-		}
-	}()
-	compact.Route(0, 1)
-}
-
-// TestCompactSelfAndBounds pins the degenerate pairs: src == dst
-// reconstructs the single-router path with an immediate eject word.
+// TestCompactSelfAndBounds pins the degenerate pairs: src == dst appends an
+// immediate eject word and a single-router path.
 func TestCompactSelfAndBounds(t *testing.T) {
 	net := topo.FBF(3, 3, 1)
 	compact, err := CompileCompact(net, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path, vcs, ports, next := compact.AppendRoute(nil, nil, nil, nil, 4, 4)
-	if len(path) != 1 || path[0] != 4 || len(vcs) != 0 || len(ports) != 0 {
-		t.Fatalf("self route: path %v vcs %v ports %v", path, vcs, ports)
-	}
-	if len(next) != 1 || next[0] != NextEject {
+	if next := compact.AppendNext(nil, 4, 4); len(next) != 1 || next[0] != NextEject {
 		t.Fatalf("self route next = %v, want [NextEject]", next)
+	}
+	if path := compact.AppendPath(nil, 4, 4); len(path) != 1 || path[0] != 4 {
+		t.Fatalf("self route path = %v, want [4]", path)
 	}
 	if NextEject != math.MaxUint32 {
 		t.Fatalf("NextEject = %#x", uint32(NextEject))

@@ -1,8 +1,9 @@
 // Dimension-ordered routing for meshes, tori (with dateline VCs) and the
 // XY-phase routing used by flattened butterflies and their partitioned
-// variant. All builders validate their paths against the adjacency at
-// construction time, so a mismatch with the topology constructors fails
-// loudly.
+// variant. These builders are the reference definition of the grid routes:
+// CompileGrid (grid.go) computes the same routes in closed form, validating
+// every route against the adjacency, and the equivalence tests pin the two
+// hop for hop.
 
 package routing
 
@@ -22,11 +23,7 @@ type dorMesh struct {
 // NewDORMesh builds XY dimension-order routing for a mesh built by
 // topo.Mesh2D. XY routing on a mesh is deadlock-free with any VC count.
 func NewDORMesh(net *topo.Network, rx, ry, vcs int) (PathBuilder, error) {
-	d := &dorMesh{net: net, rx: rx, ry: ry, vcs: vcs}
-	if err := spotCheck(net, d); err != nil {
-		return nil, fmt.Errorf("routing: mesh %dx%d: %v", rx, ry, err)
-	}
-	return d, nil
+	return &dorMesh{net: net, rx: rx, ry: ry, vcs: vcs}, nil
 }
 
 func (d *dorMesh) Route(src, dst int) ([]int, []int) {
@@ -52,8 +49,13 @@ func (d *dorMesh) Route(src, dst int) ([]int, []int) {
 func (d *dorMesh) NumVCs() int { return d.vcs }
 
 // dorTorus routes XY on a torus, taking the ring direction with the fewest
-// hops and switching to the second VC class after crossing the dateline
-// (wrap link) in either dimension.
+// hops (forward on ties). The dateline rule is per dimension and per move,
+// not per hop: move() walks a dimension's whole move before its hops are
+// tagged, so when that move crosses the dateline (the wrap link between
+// ring positions n-1 and 0) every hop of the dimension rides VC 1, including
+// the hops before the crossing; a move that does not wrap rides VC 0. On a
+// ring of 2 every hop joins positions 0 and n-1, so every move counts as
+// crossing.
 type dorTorus struct {
 	net    *topo.Network
 	rx, ry int
@@ -66,18 +68,14 @@ func NewDORTorus(net *topo.Network, rx, ry, vcs int) (PathBuilder, error) {
 	if vcs < 2 {
 		return nil, fmt.Errorf("routing: torus dateline routing needs >= 2 VCs, got %d", vcs)
 	}
-	d := &dorTorus{net: net, rx: rx, ry: ry, vcs: vcs}
-	if err := spotCheck(net, d); err != nil {
-		return nil, fmt.Errorf("routing: torus %dx%d: %v", rx, ry, err)
-	}
-	return d, nil
+	return &dorTorus{net: net, rx: rx, ry: ry, vcs: vcs}, nil
 }
 
 func (d *dorTorus) Route(src, dst int) ([]int, []int) {
 	x, y := src%d.rx, src/d.rx
 	dx, dy := dst%d.rx, dst/d.rx
 	path := []int{src}
-	var wrapped []bool // per hop: have we crossed a dateline yet
+	var wrapped []bool // per hop: does its dimension's move cross the dateline
 	crossed := false
 	move := func(cur, target, n int) []int {
 		// Shortest ring direction; positive wins ties.
@@ -134,11 +132,7 @@ type xyFBF struct {
 
 // NewXYFBF builds XY routing for an FBF built by topo.FBF.
 func NewXYFBF(net *topo.Network, cx, cy, vcs int) (PathBuilder, error) {
-	d := &xyFBF{net: net, cx: cx, cy: cy, vcs: vcs}
-	if err := spotCheck(net, d); err != nil {
-		return nil, fmt.Errorf("routing: fbf %dx%d: %v", cx, cy, err)
-	}
-	return d, nil
+	return &xyFBF{net: net, cx: cx, cy: cy, vcs: vcs}, nil
 }
 
 func (d *xyFBF) Route(src, dst int) ([]int, []int) {
@@ -172,11 +166,7 @@ func NewXYPFBF(net *topo.Network, px, py, sx, sy, vcs int) (PathBuilder, error) 
 	if vcs < 2 {
 		return nil, fmt.Errorf("routing: pfbf routing needs >= 2 VCs, got %d", vcs)
 	}
-	d := &xyPFBF{net: net, px: px, py: py, sx: sx, sy: sy, vcs: vcs}
-	if err := spotCheck(net, d); err != nil {
-		return nil, fmt.Errorf("routing: pfbf %dx%d of %dx%d: %v", px, py, sx, sy, err)
-	}
-	return d, nil
+	return &xyPFBF{net: net, px: px, py: py, sx: sx, sy: sy, vcs: vcs}, nil
 }
 
 func (d *xyPFBF) id(gx, gy, lx, ly int) int {
@@ -235,24 +225,4 @@ func sign(x int) int {
 		return -1
 	}
 	return 0
-}
-
-// spotCheck validates that every route produced by the builder uses only
-// real links and terminates at the destination.
-func spotCheck(net *topo.Network, b PathBuilder) error {
-	for src := 0; src < net.Nr; src++ {
-		for dst := 0; dst < net.Nr; dst++ {
-			path, vcs := b.Route(src, dst)
-			if len(path) == 0 || path[0] != src || path[len(path)-1] != dst {
-				return fmt.Errorf("route %d->%d has bad endpoints %v", src, dst, path)
-			}
-			if len(vcs) != len(path)-1 {
-				return fmt.Errorf("route %d->%d: %d vcs for %d hops", src, dst, len(vcs), len(path)-1)
-			}
-			if !PathValid(net, path) {
-				return fmt.Errorf("route %d->%d uses a missing link: %v", src, dst, path)
-			}
-		}
-	}
-	return nil
 }

@@ -1,16 +1,19 @@
 // Package routing computes the static routes used by the simulator. The
 // paper evaluates static minimum routing computed with a shortest-path
 // algorithm (§5.1) plus, for the §6 study, UGAL-style adaptive routing built
-// from minimal and Valiant paths. Routes are source routes: a packet carries
-// its full router path and a per-hop VC assignment chosen so that the
-// network is deadlock-free (ascending VC classes for low-diameter networks,
-// dimension order for meshes, datelines for tori).
+// from minimal and Valiant paths. Every route pairs a router path with a
+// per-hop VC assignment chosen so that the network is deadlock-free
+// (ascending VC classes for low-diameter networks, dimension order for
+// meshes, datelines for tori).
 //
-// Static algorithms additionally compile into a RouteTable (table.go): the
-// per-(src,dst) paths and VC assignments are interned once and borrowed by
-// every packet, which removes route construction from the simulation hot
-// path and lets campaigns share one immutable table across concurrent runs
-// of the same (network, algorithm, VC count).
+// PathBuilders (Route) are the reference definition of each algorithm.
+// Static algorithms compile into a RouteTable (table.go) that the simulator
+// reads instead: the compact next-hop byte table for generic minimal
+// routing (compact.go), or closed-form routes computed from coordinates for
+// the grid baselines (grid.go). A table appends each packet's next-hop
+// words into the packet's own recycled buffer at enqueue, and one immutable
+// table is shared by every concurrent run of the same (network, algorithm,
+// VC count).
 package routing
 
 import (

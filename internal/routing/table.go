@@ -1,59 +1,50 @@
-// Compiled route tables. A RouteTable is the flattened, interned form of a
-// PathBuilder: per-(src,dst) router paths and VC assignments stored in two
-// shared backing arrays, handed out as sub-slice views so the simulator's
-// packets borrow their route instead of copying it. Compiled (eager) tables
-// are immutable and safe to share across any number of concurrent
-// simulations — the campaign engine builds one per distinct
-// (network, routing, VCs) combination and reuses it for every point.
+// Compiled route tables. A RouteTable is the compiled form of a static
+// routing algorithm, in exactly one of two forms behind one contract:
+//
+//   - compact (compact.go): one next-hop port byte per (src,dst) router
+//     pair, for deterministic minimal routing with ascending VCs — SN, Clos
+//     and Dragonfly under "auto", and "minimal" on any topology;
+//   - grid (grid.go): closed-form dimension-order and XY routes computed
+//     from router coordinates — meshes, tori and (partitioned) flattened
+//     butterflies — with per-router port lookups of O(radix) bytes.
+//
+// Either form appends a route's next-hop words into a caller-owned buffer
+// (AppendNext), which is the only route data the simulator's cycle loop
+// reads, and its router path (AppendPath) for adaptive candidates and the
+// latency estimator. Tables are immutable after construction and safe to
+// share across any number of concurrent simulations — the campaign engine
+// builds one per distinct (network, routing, VCs) combination and reuses it
+// for every point.
 
 package routing
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
 
-// RouteTable holds precomputed (or deterministically memoized) routes for
-// one network and one PathBuilder. Paths returned by Route are views into
-// interned storage and must be treated as read-only by callers.
+	"repro/internal/topo"
+)
+
+// RouteTable is an immutable compiled route source for one network, static
+// routing algorithm and VC count. Build it with CompileCompact, CompileGrid
+// or NewTable.
 type RouteTable struct {
 	nr  int
 	vcs int
-	// pb is retained only by memoizing tables; Compile drops it, freezing
-	// the table.
-	pb PathBuilder
+	// adj is the network's sorted adjacency, borrowed (not copied): a hop's
+	// output port indexes its router's row. It must not be mutated
+	// afterwards — the same immutability contract WithNetwork demands.
+	adj [][]int
 
-	// Interned storage: every compiled path's routers and per-hop VCs,
-	// concatenated. off/voff/plen index it per (src*nr+dst) pair; off < 0
-	// marks a pair not yet compiled (memoizing tables only).
-	routers []int32
-	hopVCs  []uint8
-	off     []int32
-	voff    []int32
-	plen    []int32
-
-	// ports holds the per-hop output-port indices, aligned element for
-	// element with hopVCs (same voff indexing): ports[voff+i] is the output
-	// port at path[i] leading to path[i+1]. Filled by CompilePorts; empty
-	// until then. Precomputing the ports moves the simulator's per-flit
-	// adjacency binary search out of the switch-allocation hot path.
-	ports []uint8
-
-	// nextw holds the per-hop next-hop words (NextWord encoding: output
-	// port and the port*vcs+vc slot offset in one uint32), aligned with
-	// routers (same off indexing, plen entries per pair) and terminated by
-	// NextEject at each path's final hop. Filled by CompilePorts. The
-	// simulator's switch allocation arbitrates on these words alone — one
-	// dense load per probe, no packet or table access until a flit moves.
-	nextw []uint32
-
-	// Compact mode (see compact.go): next-hop-only storage, one output-port
-	// byte per (src,dst) pair, with the network adjacency borrowed for the
-	// reconstruction walks. Mutually exclusive with the interned storage
-	// above: a compact table has no off/voff/plen arrays at all — that is
-	// the point — and serves routes via AppendRoute instead of views.
-	cnh  []uint8 // [src*nr+dst] output port at src toward dst; cnhNone if none
-	cadj [][]int // borrowed adjacency (sorted rows), for next-hop resolution
+	// nh is the compact form's storage: [src*nr+dst] the output port at src
+	// toward dst, or nhNone. Nil for grid tables.
+	nh []uint8
+	// grid is the grid form's geometry and port lookups (grid.go); unused
+	// when nh is set.
+	grid gridRoutes
 }
 
-// NextEject is the next-hop word of a path's final hop: the router visit is
+// NextEject is the next-hop word of a route's final hop: the router visit is
 // an ejection, not a traversal. Real encodings never collide with it (or
 // with any sentinel down to NextEject-255: ports are at most 254 and slots
 // at most 254*63+62, so a real word is at most 0x00fe3efe).
@@ -69,136 +60,137 @@ func NextWord(port, vc, vcs int) uint32 {
 	return uint32(port)<<16 | uint32(port*vcs+vc)
 }
 
-func newTable(nr int, pb PathBuilder) *RouteTable {
-	t := &RouteTable{
-		nr:   nr,
-		vcs:  pb.NumVCs(),
-		pb:   pb,
-		off:  make([]int32, nr*nr),
-		voff: make([]int32, nr*nr),
-		plen: make([]int32, nr*nr),
+// maxPorts bounds router radix in a compiled table: ports are stored as
+// uint8 with 0xff reserved as the "no port" sentinel.
+const maxPorts = 254
+
+// ErrNoTable reports a PathBuilder that has no compiled form: its routes
+// are neither the deterministic minimal routes of the compact form nor one
+// of this package's grid builders. Callers route such builders per packet.
+var ErrNoTable = errors.New("routing: path builder has no compiled route table")
+
+// NewTable compiles a PathBuilder constructed by this package into the
+// route table that reproduces its routes exactly: MinimalRouting compiles
+// to the compact form, the DOR/XY builders to the grid form. Any other
+// builder yields an error wrapping ErrNoTable.
+func NewTable(net *topo.Network, pb PathBuilder) (*RouteTable, error) {
+	switch b := pb.(type) {
+	case *MinimalRouting:
+		return CompileCompact(net, b.VCs)
+	case *dorMesh:
+		return CompileGrid(net, Kind{Class: ClassMesh, RX: b.rx, RY: b.ry}, b.vcs)
+	case *dorTorus:
+		return CompileGrid(net, Kind{Class: ClassTorus, RX: b.rx, RY: b.ry}, b.vcs)
+	case *xyFBF:
+		return CompileGrid(net, Kind{Class: ClassFBF, RX: b.cx, RY: b.cy}, b.vcs)
+	case *xyPFBF:
+		return CompileGrid(net, Kind{Class: ClassPFBF, PX: b.px, PY: b.py, RX: b.sx, RY: b.sy}, b.vcs)
 	}
-	for i := range t.off {
-		t.off[i] = -1
-	}
-	return t
+	return nil, fmt.Errorf("%w (%T)", ErrNoTable, pb)
 }
 
-// Compile eagerly builds the full nr x nr route table from the builder. The
-// returned table is immutable: it never touches the builder again, and
-// concurrent readers need no synchronisation.
-func Compile(nr int, pb PathBuilder) (*RouteTable, error) {
-	t := newTable(nr, pb)
-	for src := 0; src < nr; src++ {
-		for dst := 0; dst < nr; dst++ {
-			if err := t.fill(src, dst); err != nil {
-				return nil, err
-			}
+// checkRadix rejects networks whose router radix does not fit the tables'
+// one-byte ports.
+func checkRadix(net *topo.Network) error {
+	for r := 0; r < net.Nr; r++ {
+		if len(net.Adj[r]) > maxPorts {
+			return fmt.Errorf("routing: router %d radix %d exceeds the route table's %d-port limit", r, len(net.Adj[r]), maxPorts)
 		}
-	}
-	t.pb = nil // frozen
-	return t, nil
-}
-
-// NewMemoTable builds a lazily filled table: each (src,dst) pair is compiled
-// on first use and reused afterwards. Because the builder is deterministic,
-// the memoized route is identical to an eagerly compiled one. A memoizing
-// table mutates itself on lookup and is therefore NOT safe for concurrent
-// use; share only tables built with Compile.
-func NewMemoTable(nr int, pb PathBuilder) *RouteTable {
-	return newTable(nr, pb)
-}
-
-func (t *RouteTable) fill(src, dst int) error {
-	path, vcs := t.pb.Route(src, dst)
-	if len(vcs) != len(path)-1 {
-		return fmt.Errorf("routing: table compile %d->%d: %d vcs for %d hops",
-			src, dst, len(vcs), len(path)-1)
-	}
-	pair := src*t.nr + dst
-	t.off[pair] = int32(len(t.routers))
-	t.voff[pair] = int32(len(t.hopVCs))
-	t.plen[pair] = int32(len(path))
-	for _, r := range path {
-		t.routers = append(t.routers, int32(r))
-	}
-	for _, v := range vcs {
-		t.hopVCs = append(t.hopVCs, uint8(v))
 	}
 	return nil
 }
 
-// Route returns the router path (inclusive of both endpoints) and per-hop VC
-// assignment for src->dst as borrowed, read-only views into the table's
-// interned storage. On a memoizing table a first-time pair is compiled on
-// the spot; compile errors panic there, since the eager path has already
-// validated the builder in every shared configuration.
-func (t *RouteTable) Route(src, dst int) ([]int32, []uint8) {
-	if t.cnh != nil {
-		panic("routing: Route on a compact table (reconstruct with AppendRoute)")
+// AppendNext appends the src->dst route's next-hop words to next and
+// returns it: one NextWord per hop (the output port at the hop's router and
+// the hop's VC), terminated by NextEject at the destination router. src ==
+// dst appends just NextEject; an unreachable pair (possible only on a
+// disconnected network) appends nothing. Allocation-free once next has
+// reached the route's length.
+//
+//sim:hot
+func (t *RouteTable) AppendNext(next []uint32, src, dst int) []uint32 {
+	if t.nh != nil {
+		return t.appendNextCompact(next, src, dst)
 	}
-	pair := src*t.nr + dst
-	if t.off[pair] < 0 {
-		if t.pb == nil {
-			panic("routing: frozen RouteTable missing a pair")
-		}
-		if err := t.fill(src, dst); err != nil {
-			panic(err)
-		}
-	}
-	o, n := t.off[pair], t.plen[pair]
-	vo := t.voff[pair]
-	hops := n - 1
-	if hops < 0 {
-		hops = 0
-	}
-	return t.routers[o : o+n : o+n], t.hopVCs[vo : vo+hops : vo+hops]
+	return t.appendNextGrid(next, src, dst)
 }
 
-// CompilePorts resolves every compiled hop to its output-port index in the
-// sender's (sorted) adjacency row, making Ports views available. It may only
-// be called on a frozen table (built with Compile): a memoizing table keeps
-// compiling new pairs, whose port entries would be missing. The adjacency
-// must be the network the table was compiled for; ports are uint8, so router
-// radixes beyond 255 are rejected (no supported topology comes close).
-func (t *RouteTable) CompilePorts(adj [][]int) error {
-	if t.cnh != nil {
-		return fmt.Errorf("routing: CompilePorts on a compact table (its ports come from AppendRoute)")
+// AppendPath appends the src->dst router path (inclusive of both endpoints)
+// to buf and returns it. The path follows AppendNext's output ports through
+// the adjacency, so it is exactly the route packets take. An unreachable
+// pair appends nothing.
+func (t *RouteTable) AppendPath(buf []int, src, dst int) []int {
+	var scratch [64]uint32
+	next := t.AppendNext(scratch[:0], src, dst)
+	if len(next) == 0 {
+		return buf
 	}
-	if t.pb != nil {
-		return fmt.Errorf("routing: CompilePorts requires a frozen table (use Compile, not NewMemoTable)")
+	cur := src
+	buf = append(buf, cur)
+	for _, w := range next[:len(next)-1] {
+		cur = t.adj[cur][w>>16&0xff]
+		buf = append(buf, cur)
 	}
-	if len(adj) != t.nr {
-		return fmt.Errorf("routing: CompilePorts adjacency has %d routers, table compiled for %d", len(adj), t.nr)
+	return buf
+}
+
+// AppendPathTail appends the src->dst path without its first router (used to
+// concatenate Valiant segments without duplicating the intermediate).
+func (t *RouteTable) AppendPathTail(buf []int, src, dst int) []int {
+	n := len(buf)
+	buf = t.AppendPath(buf, src, dst)
+	if len(buf) > n {
+		copy(buf[n:], buf[n+1:])
+		buf = buf[:len(buf)-1]
 	}
-	for r := range adj {
-		if len(adj[r]) > 255 {
-			return fmt.Errorf("routing: router %d radix %d exceeds the 255-port limit", r, len(adj[r]))
-		}
-	}
-	ports := make([]uint8, len(t.hopVCs))
-	nextw := make([]uint32, len(t.routers))
-	for pair, o := range t.off {
-		if o < 0 {
-			continue
-		}
-		n, vo := int(t.plen[pair]), int(t.voff[pair])
-		path := t.routers[o : int(o)+n]
-		for i := 0; i+1 < n; i++ {
-			pos, ok := searchAdj(adj[path[i]], int(path[i+1]))
-			if !ok {
-				return fmt.Errorf("routing: compiled route %d->%d uses missing link %d->%d",
-					pair/t.nr, pair%t.nr, path[i], path[i+1])
+	return buf
+}
+
+// Compact reports whether this is a compact next-hop table (as opposed to
+// closed-form grid routes).
+func (t *RouteTable) Compact() bool { return t.nh != nil }
+
+// NumVCs returns the VC count the routes are assigned over.
+func (t *RouteTable) NumVCs() int { return t.vcs }
+
+// Nr returns the router count the table was compiled for.
+func (t *RouteTable) Nr() int { return t.nr }
+
+// MemBytes returns the table's resident footprint: one byte per router pair
+// for the compact form, the per-router port lookups for the grid form. The
+// borrowed adjacency belongs to the network and is not counted. Memory-budget
+// enforcement (sim.Config.MemBudgetBytes) uses it to account a shared
+// compiled table against a run's budget.
+func (t *RouteTable) MemBytes() int64 {
+	return int64(len(t.nh)) + int64(len(t.grid.port))
+}
+
+// validate walks every (src,dst) route through the adjacency and checks
+// that each hop leaves by a real port, carries a VC in range, and that the
+// walk ends at dst. It allocates nothing beyond one word buffer.
+func (t *RouteTable) validate() error {
+	next := make([]uint32, 0, 64)
+	for src := 0; src < t.nr; src++ {
+		for dst := 0; dst < t.nr; dst++ {
+			next = t.AppendNext(next[:0], src, dst)
+			n := len(next)
+			if n == 0 || next[n-1] != NextEject {
+				return fmt.Errorf("routing: route %d->%d is not NextEject-terminated", src, dst)
 			}
-			ports[vo+i] = uint8(pos)
-			nextw[int(o)+i] = NextWord(pos, int(t.hopVCs[vo+i]), t.vcs)
-		}
-		if n > 0 {
-			nextw[int(o)+n-1] = NextEject
+			cur := src
+			for i, w := range next[:n-1] {
+				port := int(w >> 16 & 0xff)
+				if port >= len(t.adj[cur]) || int(w&0xffff)-port*t.vcs >= t.vcs {
+					return fmt.Errorf("routing: route %d->%d hop %d at router %d: word %#x names a missing port or VC",
+						src, dst, i, cur, w)
+				}
+				cur = t.adj[cur][port]
+			}
+			if cur != dst {
+				return fmt.Errorf("routing: route %d->%d ends at router %d", src, dst, cur)
+			}
 		}
 	}
-	t.ports = ports
-	t.nextw = nextw
 	return nil
 }
 
@@ -218,103 +210,6 @@ func searchAdj(adj []int, nxt int) (int, bool) {
 		return 0, false
 	}
 	return lo, true
-}
-
-// HasPorts reports whether per-hop output ports are available — CompilePorts
-// has run (dense tables) or the table is compact (ports ride in AppendRoute).
-func (t *RouteTable) HasPorts() bool { return t.ports != nil || t.cnh != nil }
-
-// Ports returns the per-hop output ports for src->dst (len(path)-1 entries,
-// aligned with the VC view from Route) as a borrowed read-only view, or nil
-// if CompilePorts has not run. Pairs are never compiled here — callers pair
-// it with Route, which does.
-func (t *RouteTable) Ports(src, dst int) []uint8 {
-	if t.ports == nil {
-		return nil
-	}
-	pair := src*t.nr + dst
-	vo, hops := t.voff[pair], t.plen[pair]-1
-	if hops < 0 {
-		hops = 0
-	}
-	return t.ports[vo : vo+hops : vo+hops]
-}
-
-// NextWords returns the per-hop next-hop words for src->dst (len(path)
-// entries, NextEject-terminated) as a borrowed read-only view, or nil if
-// CompilePorts has not run. Pairs are never compiled here — callers pair it
-// with Route, which does.
-func (t *RouteTable) NextWords(src, dst int) []uint32 {
-	if t.nextw == nil {
-		return nil
-	}
-	pair := src*t.nr + dst
-	o, n := t.off[pair], t.plen[pair]
-	return t.nextw[o : o+n : o+n]
-}
-
-// NumVCs returns the VC count of the compiled builder.
-func (t *RouteTable) NumVCs() int { return t.vcs }
-
-// Nr returns the router count the table was compiled for.
-func (t *RouteTable) Nr() int { return t.nr }
-
-// MemBytes returns the table's resident footprint: the interned path,
-// VC and port bytes plus the three per-pair offset arrays. Memory-budget
-// enforcement (sim.Config.MemBudgetBytes) uses it to account a shared
-// compiled table against a run's budget without reflection.
-func (t *RouteTable) MemBytes() int64 {
-	return int64(len(t.routers))*4 + int64(len(t.hopVCs)) + int64(len(t.ports)) +
-		int64(len(t.nextw))*4 + int64(len(t.cnh)) +
-		int64(len(t.off))*4 + int64(len(t.voff))*4 + int64(len(t.plen))*4
-}
-
-// Pairs returns the number of compiled (src,dst) pairs (all nr^2 for an
-// eager table).
-func (t *RouteTable) Pairs() int {
-	if t.cnh != nil {
-		return t.nr * t.nr // compact tables cover every pair by construction
-	}
-	n := 0
-	for _, o := range t.off {
-		if o >= 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// AppendPath appends the src->dst router path to buf and returns it —
-// the allocation-free counterpart of Paths.MinPath for adaptive policies
-// reusing table candidates.
-func (t *RouteTable) AppendPath(buf []int, src, dst int) []int {
-	if t.cnh != nil {
-		return t.appendPathOnly(buf, src, dst)
-	}
-	path, _ := t.Route(src, dst)
-	for _, r := range path {
-		buf = append(buf, int(r))
-	}
-	return buf
-}
-
-// AppendPathTail appends the src->dst path without its first router (used to
-// concatenate Valiant segments without duplicating the intermediate).
-func (t *RouteTable) AppendPathTail(buf []int, src, dst int) []int {
-	if t.cnh != nil {
-		n := len(buf)
-		buf = t.appendPathOnly(buf, src, dst)
-		if len(buf) > n {
-			copy(buf[n:], buf[n+1:])
-			buf = buf[:len(buf)-1]
-		}
-		return buf
-	}
-	path, _ := t.Route(src, dst)
-	for _, r := range path[1:] {
-		buf = append(buf, int(r))
-	}
-	return buf
 }
 
 // AppendAscendingVCs appends the paper's ascending VC assignment for the

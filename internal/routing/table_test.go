@@ -1,112 +1,199 @@
 package routing
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/topo"
 )
 
-// tableBuilders returns representative PathBuilders over small networks.
+// refWords derives the reference next-hop words of one route from a
+// builder's Route(): each hop's port is the next router's position in the
+// sender's sorted adjacency row, its VC the builder's, and NextEject ends
+// the sequence.
+func refWords(t testing.TB, net *topo.Network, pb PathBuilder, src, dst int) ([]int, []uint32) {
+	t.Helper()
+	path, vcs := pb.Route(src, dst)
+	var next []uint32
+	for i := 0; i+1 < len(path); i++ {
+		port, ok := searchAdj(net.Adj[path[i]], path[i+1])
+		if !ok {
+			t.Fatalf("reference route %d->%d uses missing link %d->%d", src, dst, path[i], path[i+1])
+		}
+		next = append(next, NextWord(port, vcs[i], pb.NumVCs()))
+	}
+	return path, append(next, NextEject)
+}
+
+// checkTable compares a compiled table with its reference builder over
+// every (src,dst) pair: AppendNext must equal the words derived from
+// Route(), and AppendPath must equal Route()'s path.
+func checkTable(t *testing.T, net *topo.Network, pb PathBuilder, tab *RouteTable) {
+	t.Helper()
+	if tab.Nr() != net.Nr || tab.NumVCs() != pb.NumVCs() {
+		t.Fatalf("table dims %d/%d, want %d/%d", tab.Nr(), tab.NumVCs(), net.Nr, pb.NumVCs())
+	}
+	var next []uint32
+	var path []int
+	for src := 0; src < net.Nr; src++ {
+		for dst := 0; dst < net.Nr; dst++ {
+			wantPath, wantNext := refWords(t, net, pb, src, dst)
+			next = tab.AppendNext(next[:0], src, dst)
+			if len(next) != len(wantNext) {
+				t.Fatalf("%d->%d: %d next words, want %d", src, dst, len(next), len(wantNext))
+			}
+			for i := range next {
+				if next[i] != wantNext[i] {
+					t.Fatalf("%d->%d: next[%d] = %#x, want %#x", src, dst, i, next[i], wantNext[i])
+				}
+			}
+			path = tab.AppendPath(path[:0], src, dst)
+			if len(path) != len(wantPath) {
+				t.Fatalf("%d->%d: path %v, want %v", src, dst, path, wantPath)
+			}
+			for i := range path {
+				if path[i] != wantPath[i] {
+					t.Fatalf("%d->%d: path %v, want %v", src, dst, path, wantPath)
+				}
+			}
+		}
+	}
+}
+
+// tableBuilders returns representative PathBuilders over small networks,
+// including rings of 2 and 3 (the torus dateline's edge cases) and a PFBF
+// with one partition along Y.
 func tableBuilders(t *testing.T) map[string]struct {
 	net *topo.Network
 	pb  PathBuilder
 } {
 	t.Helper()
-	mesh := topo.Mesh2D(4, 4, 1)
-	dorMesh, err := NewDORMesh(mesh, 4, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	torus := topo.Torus2D(4, 4, 1)
-	dorTorus, err := NewDORTorus(torus, 4, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fbf := topo.FBF(4, 4, 1)
-	minimal := &MinimalRouting{P: NewMinimal(fbf), VCs: 3}
-	return map[string]struct {
+	type tc = struct {
 		net *topo.Network
 		pb  PathBuilder
-	}{
-		"dor-mesh":  {mesh, dorMesh},
-		"dor-torus": {torus, dorTorus},
-		"minimal":   {fbf, minimal},
 	}
+	out := map[string]tc{}
+	add := func(name string, net *topo.Network, pb PathBuilder, err error) {
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out[name] = tc{net, pb}
+	}
+	mesh := topo.Mesh2D(4, 5, 1)
+	pb, err := NewDORMesh(mesh, 4, 5, 3)
+	add("dor-mesh", mesh, pb, err)
+	torus := topo.Torus2D(4, 4, 1)
+	pb, err = NewDORTorus(torus, 4, 4, 2)
+	add("dor-torus", torus, pb, err)
+	torus23 := topo.Torus2D(2, 3, 1)
+	pb, err = NewDORTorus(torus23, 2, 3, 3)
+	add("dor-torus-2x3", torus23, pb, err)
+	torus5 := topo.Torus2D(5, 6, 1)
+	pb, err = NewDORTorus(torus5, 5, 6, 2)
+	add("dor-torus-5x6", torus5, pb, err)
+	fbf := topo.FBF(4, 3, 1)
+	pb, err = NewXYFBF(fbf, 4, 3, 1)
+	add("xy-fbf-1vc", fbf, pb, err)
+	pb, err = NewXYFBF(fbf, 4, 3, 2)
+	add("xy-fbf", fbf, pb, err)
+	pfbf := topo.PFBF(3, 2, 3, 2, 1)
+	pb, err = NewXYPFBF(pfbf, 3, 2, 3, 2, 2)
+	add("xy-pfbf", pfbf, pb, err)
+	pfbf4 := topo.PFBF(2, 1, 3, 3, 1)
+	pb, err = NewXYPFBF(pfbf4, 2, 1, 3, 3, 2)
+	add("xy-pfbf-1y", pfbf4, pb, err)
+	fbf44 := topo.FBF(4, 4, 1)
+	add("minimal", fbf44, &MinimalRouting{P: NewMinimal(fbf44), VCs: 3}, nil)
+	return out
 }
 
-// TestCompileMatchesBuilder verifies a compiled table reproduces its
-// builder's routes exactly for every pair, through both eager and memoized
-// construction.
+// TestCompileMatchesBuilder verifies that NewTable compiles every builder
+// of this package to a table that reproduces the builder's routes — next
+// words and router paths — for every pair.
 func TestCompileMatchesBuilder(t *testing.T) {
 	for name, tc := range tableBuilders(t) {
 		tc := tc
 		t.Run(name, func(t *testing.T) {
-			eager, err := Compile(tc.net.Nr, tc.pb)
+			tab, err := NewTable(tc.net, tc.pb)
 			if err != nil {
 				t.Fatal(err)
 			}
-			memo := NewMemoTable(tc.net.Nr, tc.pb)
-			if eager.NumVCs() != tc.pb.NumVCs() {
-				t.Fatalf("NumVCs %d != %d", eager.NumVCs(), tc.pb.NumVCs())
+			_, isMinimal := tc.pb.(*MinimalRouting)
+			if tab.Compact() != isMinimal {
+				t.Fatalf("Compact() = %v for %T", tab.Compact(), tc.pb)
 			}
-			for src := 0; src < tc.net.Nr; src++ {
-				for dst := 0; dst < tc.net.Nr; dst++ {
-					wantPath, wantVCs := tc.pb.Route(src, dst)
-					for _, tab := range []*RouteTable{eager, memo} {
-						path, vcs := tab.Route(src, dst)
-						if len(path) != len(wantPath) || len(vcs) != len(wantVCs) {
-							t.Fatalf("%d->%d: table path/vcs lengths %d/%d, want %d/%d",
-								src, dst, len(path), len(vcs), len(wantPath), len(wantVCs))
-						}
-						for i := range path {
-							if int(path[i]) != wantPath[i] {
-								t.Fatalf("%d->%d: path[%d] = %d, want %d", src, dst, i, path[i], wantPath[i])
-							}
-						}
-						for i := range vcs {
-							if int(vcs[i]) != wantVCs[i] {
-								t.Fatalf("%d->%d: vcs[%d] = %d, want %d", src, dst, i, vcs[i], wantVCs[i])
-							}
-						}
-					}
-				}
-			}
-			if got := eager.Pairs(); got != tc.net.Nr*tc.net.Nr {
-				t.Errorf("eager table compiled %d pairs, want %d", got, tc.net.Nr*tc.net.Nr)
-			}
+			checkTable(t, tc.net, tc.pb, tab)
 		})
 	}
 }
 
-// TestTableBorrowIsolation pins the interning contract: the views handed
-// out by Route are capacity-clipped, so a caller appending to a borrowed
-// path cannot clobber the adjacent pair's storage.
+// foreignBuilder is a PathBuilder outside this package's compiled forms.
+type foreignBuilder struct{ MinimalRouting }
+
+// TestNewTableRejectsForeignBuilder pins the ErrNoTable contract callers
+// rely on to route such builders per packet.
+func TestNewTableRejectsForeignBuilder(t *testing.T) {
+	net := topo.FBF(3, 3, 1)
+	_, err := NewTable(net, &foreignBuilder{MinimalRouting{P: NewMinimal(net), VCs: 2}})
+	if !errors.Is(err, ErrNoTable) {
+		t.Fatalf("NewTable(foreign) error = %v, want ErrNoTable", err)
+	}
+}
+
+// TestCompileGridRejects checks the grid constructor's refusals: a kind
+// whose moves the network lacks (torus routes on a mesh), a grid whose size
+// disagrees with the network, too few VCs for the dateline, and a generic
+// class with no grid routes.
+func TestCompileGridRejects(t *testing.T) {
+	mesh := topo.Mesh2D(4, 4, 1)
+	torus := topo.Torus2D(4, 4, 1)
+	for name, c := range map[string]struct {
+		net  *topo.Network
+		kind Kind
+		vcs  int
+	}{
+		"missing-wrap-link": {mesh, Kind{Class: ClassTorus, RX: 4, RY: 4}, 2},
+		"size-mismatch":     {mesh, Kind{Class: ClassMesh, RX: 4, RY: 3}, 2},
+		"torus-one-vc":      {torus, Kind{Class: ClassTorus, RX: 4, RY: 4}, 1},
+		"generic":           {torus, Kind{Class: ClassGeneric}, 2},
+	} {
+		if _, err := CompileGrid(c.net, c.kind, c.vcs); err == nil {
+			t.Errorf("%s: CompileGrid accepted %+v with %d VCs", name, c.kind, c.vcs)
+		}
+	}
+}
+
+// TestTableBorrowIsolation pins the buffer contract: AppendNext and
+// AppendPath write only past the caller's prefix, and the table hands out
+// no storage of its own, so two routes appended into one buffer read back
+// exactly as when each is appended alone.
 func TestTableBorrowIsolation(t *testing.T) {
 	net := topo.Mesh2D(3, 3, 1)
-	pb, err := NewDORMesh(net, 3, 3, 2)
+	tab, err := CompileGrid(net, Kind{Class: ClassMesh, RX: 3, RY: 3}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := Compile(net.Nr, pb)
-	if err != nil {
-		t.Fatal(err)
+	a := tab.AppendNext(nil, 0, 8)
+	b := tab.AppendNext(nil, 2, 6)
+	both := tab.AppendNext(append([]uint32(nil), a...), 2, 6)
+	if len(both) != len(a)+len(b) {
+		t.Fatalf("appended routes %v, want %v then %v", both, a, b)
 	}
-	path01, _ := tab.Route(0, 1)
-	before, _ := tab.Route(0, 2)
-	snapshot := append([]int32(nil), before...)
-	_ = append(path01, 99) // must reallocate, not overwrite interned storage
-	after, _ := tab.Route(0, 2)
-	for i := range snapshot {
-		if after[i] != snapshot[i] {
-			t.Fatalf("appending to a borrowed path corrupted neighbour storage: %v -> %v", snapshot, after)
+	for i, w := range append(append([]uint32(nil), a...), b...) {
+		if both[i] != w {
+			t.Fatalf("appended routes %v, want %v then %v", both, a, b)
 		}
+	}
+	path := tab.AppendPath([]int{-7}, 0, 8)
+	if path[0] != -7 || path[1] != 0 || path[len(path)-1] != 8 {
+		t.Fatalf("AppendPath onto prefix = %v", path)
 	}
 }
 
 func TestAppendPathHelpers(t *testing.T) {
 	net := topo.FBF(4, 4, 1)
 	p := NewMinimal(net)
-	tab, err := Compile(net.Nr, &MinimalRouting{P: p, VCs: 2})
+	tab, err := CompileCompact(net, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,9 +16,9 @@ import (
 // variants see occupancy along the whole path; local variants only at the
 // source router's candidate output (§6).
 //
-// Candidate paths are borrowed from the simulation's memoized minimal route
+// Candidate paths are appended from the simulation's compact minimal route
 // table (Sim.MinRoutes) into reused scratch buffers, so route selection
-// allocates nothing once the table is warm. The returned slices are only
+// allocates nothing once the buffers have grown. The returned slices are only
 // valid until the next Choose call, which the simulator's contract allows;
 // a UGAL value must not be shared by concurrently running simulations.
 type UGAL struct {

@@ -139,7 +139,7 @@ func (s *Sim) refreshDomainHorizon(d *domain) {
 
 // memEstimate predicts the engine's resident footprint in bytes for the
 // MemBudgetBytes guard: the SoA router arrays, per-link lanes, NICs, and the
-// compiled route table (measured exactly when supplied, floor-estimated when
+// compiled route table (measured exactly when supplied, bounded above when
 // New would compile one). Deliberately computed from the same geometry New
 // allocates from, before it allocates.
 func (c *Config) memEstimate(stride int) int64 {
@@ -166,10 +166,10 @@ func (c *Config) memEstimate(stride int) int64 {
 		if c.Table != nil {
 			b += c.Table.MemBytes()
 		} else {
-			// Compile stores three int32 offsets per ordered router pair
-			// before any interned path bytes — the footprint floor of the
-			// table New would build.
-			b += nr * nr * 12
+			// The table New would compile takes at most one byte per
+			// ordered router pair (the compact form; grid routes take
+			// far less).
+			b += nr * nr
 		}
 	}
 	return b

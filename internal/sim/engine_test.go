@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/routing"
+	"repro/internal/topo"
 )
 
 // bernoulliSource mirrors traffic.Synthetic with a uniform pattern. The
@@ -72,7 +73,7 @@ func newEngineSim(t testing.TB, scheme BufferScheme, rate float64) *Sim {
 
 // TestSteadyStateZeroAllocs pins the tentpole contract: once warm, the
 // cycle loop performs zero heap allocations — packets come from the
-// freelist, routes are borrowed from the compiled table, queues are rings
+// freelist, routes are appended into their recycled buffers, queues are rings
 // that keep their backing arrays, and credits/ejections ride preallocated
 // timing-wheel buckets.
 func TestSteadyStateZeroAllocs(t *testing.T) {
@@ -161,6 +162,50 @@ func TestSteadyStateZeroAllocsCompactTable(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("compact-table steady-state loop allocates %.2f times per cycle, want 0", allocs)
+	}
+	if s.doneMeasured == 0 {
+		t.Fatal("measurement window delivered nothing; test exercised an idle network")
+	}
+}
+
+// TestSteadyStateZeroAllocsGridTable extends the zero-allocation contract
+// to closed-form grid routes: on a torus, whose dateline routes are the
+// longest the grid baselines take, routes computed at enqueue time append
+// into the same recycled per-packet buffers.
+func TestSteadyStateZeroAllocsGridTable(t *testing.T) {
+	net := topo.Torus2D(8, 8, 3)
+	tab, err := routing.CompileGrid(net, routing.Kind{Class: routing.ClassTorus, RX: 8, RY: 8}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{
+		Net:           net,
+		Table:         tab,
+		VCs:           2,
+		Scheme:        EdgeBuffers,
+		Traffic:       &bernoulliSource{n: net.N(), rate: 0.06, flits: 6},
+		Seed:          211,
+		LatSampleCap:  1 << 16,
+		WarmupCycles:  2000,
+		MeasureCycles: 20000,
+		DrainCycles:   4000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.table.Compact() {
+		t.Fatal("table is compact; test no longer covers grid routes")
+	}
+	warm := s.cfg.WarmupCycles + 2000
+	for s.now = 0; s.now < warm; s.now++ {
+		s.step()
+	}
+	allocs := testing.AllocsPerRun(500, func() {
+		s.step()
+		s.now++
+	})
+	if allocs != 0 {
+		t.Fatalf("grid-table steady-state loop allocates %.2f times per cycle, want 0", allocs)
 	}
 	if s.doneMeasured == 0 {
 		t.Fatal("measurement window delivered nothing; test exercised an idle network")

@@ -109,8 +109,9 @@ func EstimateLatencies(cfg Config, transfers []Transfer, maxCycles int64) ([]int
 			return nil, fmt.Errorf("sim: estimate: transfer %d endpoints (%d -> %d) out of node range [0, %d)",
 				i, tr.Src, tr.Dst, n)
 		}
-		if tr.Flits < 1 {
-			return nil, fmt.Errorf("sim: estimate: transfer %d has %d flits, want >= 1", i, tr.Flits)
+		if tr.Flits < 1 || tr.Flits > MaxPacketFlits {
+			return nil, fmt.Errorf("sim: estimate: transfer %d has %d flits, want 1..%d (flit indices are 16-bit)",
+				i, tr.Flits, MaxPacketFlits)
 		}
 	}
 	src := &oneshotSource{transfers: transfers, lat: make([]int64, len(transfers))}

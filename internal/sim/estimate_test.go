@@ -15,7 +15,7 @@ import (
 func estimateCfg(t testing.TB) sim.Config {
 	t.Helper()
 	net := snNetwork(t, 5, 4, core.LayoutSubgroup)
-	table, err := routing.Compile(net.Nr, minRouting(t, net, 2))
+	table, err := routing.NewTable(net, minRouting(t, net, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,6 +130,7 @@ func TestEstimateValidation(t *testing.T) {
 		{"src out of range", []sim.Transfer{{Src: -1, Dst: 3, Flits: 1}}},
 		{"dst out of range", []sim.Transfer{{Src: 0, Dst: 10_000, Flits: 1}}},
 		{"zero flits", []sim.Transfer{{Src: 0, Dst: 3, Flits: 0}}},
+		{"over 16-bit flits", []sim.Transfer{{Src: 0, Dst: 3, Flits: sim.MaxPacketFlits + 1}}},
 	}
 	for _, c := range cases {
 		if _, err := sim.EstimateLatencies(cfg, c.batch, 0); err == nil {

@@ -11,147 +11,100 @@ import (
 	"repro/internal/traffic"
 )
 
-// TestGoldenMetricsCompactTable replays the static-routing golden cases with
-// a compact (next-hop-only) route table supplied in place of the path
-// builder, against the same unmodified fixture: the on-the-fly route
-// reconstruction is required to be a byte-identical re-implementation of the
-// dense interned views, end to end through the engine — at the serial
-// domain count and split across domains. (UGAL cases route per packet and
-// have no compiled table; they are covered by the base golden tests.)
-func TestGoldenMetricsCompactTable(t *testing.T) {
-	data, err := os.ReadFile(goldenPath)
+// The base golden replays compile their compact route table inside sim.New
+// from the path builder. The replays below instead supply ONE precompiled
+// compact table through Config.Table and share it across every case of a
+// fixture, run concurrently — the campaign and estimator contract — so the
+// fixtures also pin that a shared table is read-only and that supplying it
+// changes nothing.
+
+// sharedCompact returns the config template of the shared replays: the
+// golden network with one precompiled compact table.
+func sharedCompact(t *testing.T) sim.Config {
+	t.Helper()
+	net := snNetwork(t, 5, 4, core.LayoutSubgroup)
+	tab, err := routing.CompileCompact(net, 2)
 	if err != nil {
-		t.Fatalf("read golden fixture (generate with -update-golden): %v", err)
+		t.Fatal(err)
+	}
+	return sim.Config{Net: net, Table: tab, VCs: 2, Seed: 107}
+}
+
+// readFixture loads one golden fixture.
+func readFixture(t *testing.T, path string) map[string]sim.Result {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read fixture %s: %v", path, err)
 	}
 	var want map[string]sim.Result
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}
+	return want
+}
+
+// TestGoldenMetricsCompactTable replays the static-routing golden cases on
+// one shared compact table. (The UGAL case routes per packet and has no
+// compiled table; the base golden tests cover it.)
+func TestGoldenMetricsCompactTable(t *testing.T) {
+	want := readFixture(t, goldenPath)
+	base := sharedCompact(t)
 	for _, c := range goldenCases() {
 		if c.UGAL {
 			continue
 		}
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			w, ok := want[c.Name]
-			if !ok {
-				t.Fatalf("case %s missing from fixture", c.Name)
-			}
-			for _, jobs := range []int{0, 4} {
-				net := snNetwork(t, 5, 4, core.LayoutSubgroup)
-				tab, err := routing.CompileCompact(net, c.VCs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !tab.Compact() {
-					t.Fatal("CompileCompact built a non-compact table")
-				}
-				cfg := sim.Config{
-					Net:    net,
-					Table:  tab,
-					VCs:    c.VCs,
-					Scheme: c.Scheme,
-					H:      c.H,
-					Traffic: &traffic.Synthetic{N: net.N(), Rate: c.Rate, PacketFlits: 6,
-						Pattern: traffic.Uniform{N: net.N()}},
-					Seed:          c.Seed,
-					EngineJobs:    jobs,
-					WarmupCycles:  1000,
-					MeasureCycles: 3000,
-					DrainCycles:   3000,
-				}
-				_, got := runCfg(t, cfg)
-				if got != w {
-					t.Errorf("jobs=%d: compact-table Result drifted from golden fixture\n got %+v\nwant %+v", jobs, got, w)
-				}
+			t.Parallel()
+			cfg := base
+			cfg.Scheme, cfg.H, cfg.Seed = c.Scheme, c.H, c.Seed
+			cfg.Traffic = &traffic.Synthetic{N: cfg.Net.N(), Rate: c.Rate, PacketFlits: 6,
+				Pattern: traffic.Uniform{N: cfg.Net.N()}}
+			cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 1000, 3000, 3000
+			if _, got := runCfg(t, cfg); got != want[c.Name] {
+				t.Errorf("shared-table Result drifted from golden fixture\n got %+v\nwant %+v", got, want[c.Name])
 			}
 		})
 	}
 }
 
 // TestGoldenWorkloadsCompactTable replays the composable-workload fixture
-// (bursty, MMPP, hotspot, bimodal, request-reply) with a compact route table:
-// workload generation is orthogonal to route storage, so the fixture bytes
-// must be reproduced exactly.
+// (bursty, MMPP, hotspot, bimodal, request-reply) on one shared compact
+// table.
 func TestGoldenWorkloadsCompactTable(t *testing.T) {
-	data, err := os.ReadFile(workloadsPath)
-	if err != nil {
-		t.Fatalf("read workloads fixture (generate with -update-workloads): %v", err)
-	}
-	var want map[string]sim.Result
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	net := snNetwork(t, 5, 4, core.LayoutSubgroup)
-	tab, err := routing.CompileCompact(net, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, src := range workloadSources(net.N()) {
+	want := readFixture(t, workloadsPath)
+	base := sharedCompact(t)
+	for name, src := range workloadSources(base.Net.N()) {
 		name, src := name, src
 		t.Run(name, func(t *testing.T) {
-			w, ok := want[name]
-			if !ok {
-				t.Fatalf("case %s missing from fixture", name)
-			}
-			cfg := sim.Config{
-				Net:           net,
-				Table:         tab,
-				VCs:           2,
-				Scheme:        sim.EdgeBuffers,
-				Traffic:       src,
-				Seed:          107,
-				WarmupCycles:  1000,
-				MeasureCycles: 3000,
-				DrainCycles:   3000,
-			}
-			_, got := runCfg(t, cfg)
-			if got != w {
-				t.Errorf("compact-table Result drifted from workloads fixture\n got %+v\nwant %+v", got, w)
+			t.Parallel()
+			cfg := base
+			cfg.Scheme, cfg.Traffic = sim.EdgeBuffers, src
+			cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 1000, 3000, 3000
+			if _, got := runCfg(t, cfg); got != want[name] {
+				t.Errorf("shared-table Result drifted from workloads fixture\n got %+v\nwant %+v", got, want[name])
 			}
 		})
 	}
 }
 
-// TestGoldenIdleCompactTable replays the idle-skip fixture with a compact
-// route table, calendar active: route reconstruction happens at enqueue
-// time, so it must not disturb the calendar's exact-skip bookkeeping.
+// TestGoldenIdleCompactTable replays the idle-skip fixture on one shared
+// compact table, calendar active: routes are appended at enqueue time, so
+// they must not disturb the calendar's exact-skip bookkeeping.
 func TestGoldenIdleCompactTable(t *testing.T) {
-	data, err := os.ReadFile(goldenIdlePath)
-	if err != nil {
-		t.Fatalf("read idle fixture (generate with -update-golden-idle): %v", err)
-	}
-	var want map[string]sim.Result
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := readFixture(t, goldenIdlePath)
+	base := sharedCompact(t)
 	for _, c := range goldenIdleCases() {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			w, ok := want[c.Name]
-			if !ok {
-				t.Fatalf("case %s missing from fixture", c.Name)
-			}
-			net := snNetwork(t, 5, 4, core.LayoutSubgroup)
-			tab, err := routing.CompileCompact(net, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := sim.Config{
-				Net:           net,
-				Table:         tab,
-				VCs:           2,
-				Scheme:        c.Scheme,
-				H:             1,
-				Traffic:       idleSource(t, net.N(), c.Shape),
-				Seed:          107,
-				WarmupCycles:  500,
-				MeasureCycles: 1500,
-				DrainCycles:   3000,
-			}
-			_, got := runCfg(t, cfg)
-			if got != w {
-				t.Errorf("compact-table Result drifted from idle fixture\n got %+v\nwant %+v", got, w)
+			t.Parallel()
+			cfg := base
+			cfg.Scheme, cfg.H = c.Scheme, 1
+			cfg.Traffic = idleSource(t, cfg.Net.N(), c.Shape)
+			cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 500, 1500, 3000
+			if _, got := runCfg(t, cfg); got != want[c.Name] {
+				t.Errorf("shared-table Result drifted from idle fixture\n got %+v\nwant %+v", got, want[c.Name])
 			}
 		})
 	}

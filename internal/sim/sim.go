@@ -11,15 +11,17 @@
 // The engine is an active-set design: instead of scanning every link,
 // router and NIC each cycle, dirty lists track the entities with pending
 // work, timing wheels deliver credit returns and delayed ejections, static
-// routes come pre-compiled from a routing.RouteTable whose interned paths
-// packets borrow rather than copy, and packet/buffer freelists make the
-// steady-state cycle loop allocation-free. All of this is behaviour-
-// preserving: results are byte-identical to the original full-scan engine
-// (pinned by the golden-metrics fixture in testdata/golden_results.json).
+// routes come from a compiled routing.RouteTable that appends each packet's
+// next-hop words into the packet's recycled buffer at enqueue, and
+// packet/buffer freelists make the steady-state cycle loop allocation-free.
+// All of this is behaviour-preserving: results are byte-identical to the
+// original full-scan engine (pinned by the golden-metrics fixture in
+// testdata/golden_results.json).
 package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -57,22 +59,26 @@ const (
 // larger count would silently collide. Validated by New.
 const maxVCs = 63
 
-// maxPacketFlits bounds per-packet flit counts: flit.idx/flit.hop are uint16
-// so rings and link lanes move 16-byte elements. Validated by enqueuePacket
-// (synthetic traffic uses single-digit counts; the bound exists for exotic
-// trace generators).
-const maxPacketFlits = 1<<16 - 1
+// MaxPacketFlits bounds per-packet flit counts: flit.idx/flit.hop are
+// uint16 so rings and link lanes move 16-byte elements. Outside input is
+// checked against it with a descriptive error (EstimateLatencies, the serve
+// layer); enqueuePacket panics on a violation as an internal invariant
+// (synthetic traffic uses single-digit counts).
+const MaxPacketFlits = 1<<16 - 1
 
 // Config describes one simulation.
 type Config struct {
 	Net *topo.Network
-	// Routing produces static source routes. Optional when Table is set.
+	// Routing produces static source routes; its NumVCs must equal VCs.
+	// Optional when Table is set. When Table is nil (and no Adaptive
+	// policy is set) New compiles Routing with routing.NewTable; a builder
+	// with no compiled form (routing.ErrNoTable) routes each packet
+	// through its Route instead.
 	Routing routing.PathBuilder
-	// Table optionally supplies the compiled form of the static routes;
-	// when nil (and no Adaptive policy is set) New compiles one from
-	// Routing. A table built with routing.Compile is immutable, so one
-	// table may back any number of concurrent simulations — the campaign
-	// engine shares one per (network, routing, VCs) combination.
+	// Table optionally supplies the compiled static routes. Compiled
+	// tables are immutable, so one table may back any number of concurrent
+	// simulations — the campaign engine shares one per (network, routing,
+	// VCs) combination.
 	Table *routing.RouteTable
 	VCs   int
 
@@ -255,20 +261,12 @@ func EdgeBufVar(h, vcs int) func(dist int) int {
 type packet struct {
 	id       int64
 	src, dst int // nodes
-	// path/vcs/ports either borrow a RouteTable's interned storage (static
-	// routing) or view the packet's own pathBuf/vcsBuf/portsBuf (adaptive
-	// routing, or tables without compiled ports); they are read-only either
-	// way. ports[hop] is the output-port index at path[hop] toward
-	// path[hop+1], resolved once at enqueue so switch allocation never
-	// searches the adjacency.
-	path  []int32
-	vcs   []uint8
-	ports []uint8
-	// next is the per-hop next-hop word sequence (routing.NextWord encoding,
-	// NextEject-terminated, len(path) entries): either a RouteTable's interned
-	// nextw view or the packet-owned nextBuf. Flits copy next[hop] at
-	// injection and on every send, so the arbitration loop never touches the
-	// packet's route arrays.
+	// next is the packet's route: one next-hop word per router visit
+	// (routing.NextWord encoding, NextEject-terminated, so len(next) is the
+	// path's router count), written at enqueue into this packet-owned
+	// buffer, whose capacity is retained across freelist recycles. Flits
+	// copy next[hop] at injection and on every send, so the arbitration
+	// loop never touches the packet.
 	next  []uint32
 	flits int
 	class int
@@ -283,13 +281,6 @@ type packet struct {
 	// by hop because head and tail flits of one packet can occupy
 	// different routers simultaneously.
 	cbState []uint8
-	// pathBuf/vcsBuf/portsBuf/nextBuf are the packet-owned route storage for
-	// dynamically (adaptively) routed packets; retained across freelist
-	// recycles.
-	pathBuf  []int32
-	vcsBuf   []uint8
-	portsBuf []uint8
-	nextBuf  []uint32
 }
 
 // flit references its packet and position. next carries the precomputed
@@ -298,15 +289,14 @@ type packet struct {
 // allocation never touches the packet's route arrays: it is copied from
 // pkt.next once per hop — at injection and on every sendFlit — and the
 // arbitration fast path arbitrates on the word alone.
-// The struct is deliberately 16 bytes (idx/hop are uint16, bounded by New's
-// maxPacketFlits and the 255-router-radix path-length cap): flits are copied
-// on every ring push/pop along their life — source queue, injection queue,
-// link lane, input buffer, ejection wheel — so their width is hot-loop
-// memory bandwidth.
+// The struct is deliberately 16 bytes (idx/hop are uint16, bounded by
+// MaxPacketFlits): flits are copied on every ring push/pop along their
+// life — source queue, injection queue, link lane, input buffer, ejection
+// wheel — so their width is hot-loop memory bandwidth.
 type flit struct {
 	pkt  *packet
 	idx  uint16 // 0 = head; pkt.flits-1 = tail
-	hop  uint16 // hop index: the link path[hop] -> path[hop+1] it travels next
+	hop  uint16 // hop index: pkt.next[hop] is the hop it takes next
 	next uint32
 }
 
@@ -394,7 +384,7 @@ type Sim struct {
 	links  []link
 	nics   []nic
 	table  *routing.RouteTable // compiled static routes (nil when adaptive)
-	minTab *routing.RouteTable // memoized minimal candidates for adaptive policies
+	minTab *routing.RouteTable // minimal candidates for adaptive policies, built on first use
 	paths  *routing.Paths
 
 	// SoA router state. Geometry (immutable after New):
@@ -647,10 +637,10 @@ func New(cfg Config) (*Sim, error) {
 			s.stride = kp
 		}
 	}
-	if s.stride > 255 {
-		// Per-hop output ports are uint8 (packet.ports); no supported
-		// topology has a radix anywhere near this.
-		return nil, fmt.Errorf("sim: router radix %d exceeds the 255-port limit", s.stride)
+	if s.stride > 254 {
+		// Next-hop words and route tables carry ports in one byte with 0xff
+		// reserved; no supported topology has a radix anywhere near this.
+		return nil, fmt.Errorf("sim: router radix %d exceeds the 254-port limit", s.stride)
 	}
 	if cfg.MemBudgetBytes > 0 {
 		if est := cfg.memEstimate(s.stride); est > cfg.MemBudgetBytes {
@@ -772,19 +762,20 @@ func New(cfg Config) (*Sim, error) {
 					cfg.Table.Nr(), cfg.Table.NumVCs(), nr, cfg.VCs)
 			}
 			s.table = cfg.Table
+		} else if cfg.Routing.NumVCs() != cfg.VCs {
+			// Next-hop words encode VC slots with the config's count.
+			return nil, fmt.Errorf("sim: routing assigns %d VCs, config has %d", cfg.Routing.NumVCs(), cfg.VCs)
 		} else {
-			tab, err := routing.Compile(nr, cfg.Routing)
-			if err != nil {
+			tab, err := routing.NewTable(s.net, cfg.Routing)
+			switch {
+			case errors.Is(err, routing.ErrNoTable):
+				// A builder outside the compiled forms routes per packet.
+				s.cfg.Adaptive = &StaticMin{B: cfg.Routing}
+			case err != nil:
 				return nil, err
+			default:
+				s.table = tab
 			}
-			// The table is private to this simulation, so ports can be
-			// compiled in place. Shared tables get theirs from
-			// slimnoc.CompileRouteTable; tables without ports fall back to
-			// per-packet resolution at enqueue.
-			if err := tab.CompilePorts(s.net.Adj); err != nil {
-				return nil, err
-			}
-			s.table = tab
 		}
 	}
 	// Domain decomposition: contiguous router-index ranges (see domain.go).
@@ -844,14 +835,20 @@ func (s *Sim) Paths() *routing.Paths {
 	return s.paths
 }
 
-// MinRoutes returns a deterministically memoized route table of the
-// network's BFS-minimal paths (lowest-index tie-break, identical to
-// Paths().MinPath). Adaptive policies borrow their candidate paths from it
-// instead of rebuilding slices per packet. Single-goroutine, like Sim.
+// MinRoutes returns the compact route table of the network's BFS-minimal
+// paths (lowest-index tie-break, identical to Paths().MinPath), built on
+// first use. Adaptive policies append their candidate paths from it into
+// reused buffers instead of rebuilding slices per packet. Single-goroutine,
+// like Sim.
 func (s *Sim) MinRoutes() *routing.RouteTable {
 	if s.minTab == nil {
-		s.minTab = routing.NewMemoTable(s.net.Nr,
-			&routing.MinimalRouting{P: s.Paths(), VCs: s.cfg.VCs})
+		tab, err := routing.CompileCompact(s.net, s.cfg.VCs)
+		if err != nil {
+			// New has validated the VC count and the radix limit the
+			// compact form shares.
+			panic(err)
+		}
+		s.minTab = tab
 	}
 	return s.minTab
 }
@@ -1060,12 +1057,11 @@ func (s *Sim) allocPacket() *packet {
 	return p
 }
 
-// freePacket recycles a fully ejected packet. Borrowed route views are
-// dropped; the packet-owned buffers keep their capacity for reuse.
+// freePacket recycles a fully ejected packet; its route and bypass buffers
+// keep their capacity for reuse.
 //
 //sim:hot
 func (s *Sim) freePacket(p *packet) {
-	p.path, p.vcs, p.ports, p.next = nil, nil, nil, nil
 	s.pktPool = append(s.pktPool, p)
 }
 
@@ -1074,8 +1070,8 @@ func (s *Sim) enqueuePacket(src, dst, flits, class int, tracked bool) {
 	if flits <= 0 {
 		flits = s.cfg.PacketFlits
 	}
-	if flits > maxPacketFlits {
-		panic("sim: packet exceeds maxPacketFlits (flit indices are uint16)")
+	if flits > MaxPacketFlits {
+		panic("sim: packet exceeds MaxPacketFlits (flit indices are uint16)")
 	}
 	srcR := s.net.NodeRouter(src)
 	dstR := s.net.NodeRouter(dst)
@@ -1084,62 +1080,29 @@ func (s *Sim) enqueuePacket(src, dst, flits, class int, tracked bool) {
 	p.flits, p.class = flits, class
 	p.genTime, p.tracked = s.now, tracked
 	if s.cfg.Adaptive != nil {
+		// Per-packet route: resolve each hop's output port once here, out
+		// of the switch-allocation hot path.
 		path, vcs := s.cfg.Adaptive.Choose(s, s.rng, srcR, dstR)
-		p.pathBuf = p.pathBuf[:0]
-		for _, r := range path {
-			p.pathBuf = append(p.pathBuf, int32(r))
+		p.next = p.next[:0]
+		for i := 0; i+1 < len(path); i++ {
+			p.next = append(p.next, routing.NextWord(s.portToward(path[i], path[i+1]), vcs[i], s.vcs))
 		}
-		p.path = p.pathBuf
-		p.vcsBuf = p.vcsBuf[:0]
-		for _, v := range vcs {
-			p.vcsBuf = append(p.vcsBuf, uint8(v))
-		}
-		p.vcs = p.vcsBuf
-	} else if s.table.Compact() {
-		// Compact (next-hop-only) table: reconstruct the route into the
-		// packet-owned buffers. Byte-identical to the dense views (pinned by
-		// the routing equivalence tests and the compact golden replay), and
-		// allocation-free once the buffers reach their high-water capacity.
-		p.pathBuf, p.vcsBuf, p.portsBuf, p.nextBuf = s.table.AppendRoute(
-			p.pathBuf[:0], p.vcsBuf[:0], p.portsBuf[:0], p.nextBuf[:0], srcR, dstR)
-		p.path, p.vcs, p.ports, p.next = p.pathBuf, p.vcsBuf, p.portsBuf, p.nextBuf
+		p.next = append(p.next, nextEject)
 	} else {
-		p.path, p.vcs = s.table.Route(srcR, dstR)
-		p.ports = s.table.Ports(srcR, dstR)
-		p.next = s.table.NextWords(srcR, dstR)
-	}
-	if p.ports == nil && len(p.path) > 1 {
-		// Adaptive route or a shared table without compiled ports: resolve
-		// the per-hop output ports once here, out of the switch-allocation
-		// hot path.
-		p.portsBuf = p.portsBuf[:0]
-		for i := 0; i+1 < len(p.path); i++ {
-			p.portsBuf = append(p.portsBuf, uint8(s.portToward(int(p.path[i]), int(p.path[i+1]))))
-		}
-		p.ports = p.portsBuf
-	}
-	if p.next == nil {
-		// No interned next-hop words (adaptive route, or a table without
-		// CompilePorts): derive them once here from the resolved ports/VCs.
-		p.nextBuf = p.nextBuf[:0]
-		for i := 0; i+1 < len(p.path); i++ {
-			p.nextBuf = append(p.nextBuf, routing.NextWord(int(p.ports[i]), int(p.vcs[i]), s.vcs))
-		}
-		p.nextBuf = append(p.nextBuf, nextEject)
-		p.next = p.nextBuf
+		p.next = s.table.AppendNext(p.next[:0], srcR, dstR)
 	}
 	if s.cfg.Scheme == CentralBuffer {
 		// Reset the per-hop bypass decisions, reusing capacity.
-		if cap(p.cbState) < len(p.path) {
+		if cap(p.cbState) < len(p.next) {
 			//detlint:allow hotalloc capacity growth only; recycled packets reuse cbState backing at steady state
-			p.cbState = make([]uint8, len(p.path))
+			p.cbState = make([]uint8, len(p.next))
 		} else {
-			p.cbState = p.cbState[:len(p.path)]
+			p.cbState = p.cbState[:len(p.next)]
 			clear(p.cbState)
 		}
 	}
-	if len(p.path) > maxPacketFlits {
-		panic("sim: route exceeds maxPacketFlits hops (flit hop indices are uint16)")
+	if len(p.next) > MaxPacketFlits {
+		panic("sim: route exceeds MaxPacketFlits hops (flit hop indices are uint16)")
 	}
 	if tracked {
 		s.genMeasured++
@@ -1239,7 +1202,7 @@ func (s *Sim) eject(f flit) {
 		if p.tracked {
 			s.doneMeasured++
 			s.lat = append(s.lat, s.now-p.genTime)
-			s.totalHops += int64(len(p.path) - 1)
+			s.totalHops += int64(len(p.next) - 1)
 			s.hopPackets++
 		}
 		s.cfg.Traffic.OnDelivered(s.now, p.src, p.dst, p.flits, p.class, s.replyEmit)

@@ -433,13 +433,15 @@ func TestConfigValidation(t *testing.T) {
 
 // TestVCCountValidation: VC counts that would overflow the uint8 per-hop
 // assignment (and the historical 6-bit central-buffer key packing) must be
-// rejected at construction, not silently collide.
+// rejected at construction, not silently collide; so must routing whose VC
+// count disagrees with the config's, since next-hop words encode slots with
+// the routing's count.
 func TestVCCountValidation(t *testing.T) {
 	net := snNetwork(t, 3, 3, core.LayoutSubgroup)
 	mk := func(vcs int) error {
 		_, err := sim.New(sim.Config{
 			Net:     net,
-			Routing: minRouting(t, net, 2),
+			Routing: minRouting(t, net, vcs),
 			VCs:     vcs,
 			Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.1, PacketFlits: 6,
 				Pattern: traffic.Uniform{N: net.N()}},
@@ -454,6 +456,16 @@ func TestVCCountValidation(t *testing.T) {
 	}
 	if err := mk(63); err != nil {
 		t.Errorf("VCs = 63 should be accepted: %v", err)
+	}
+	_, err := sim.New(sim.Config{
+		Net:     net,
+		Routing: minRouting(t, net, 2),
+		VCs:     4,
+		Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.1, PacketFlits: 6,
+			Pattern: traffic.Uniform{N: net.N()}},
+	})
+	if err == nil {
+		t.Error("2-VC routing on a 4-VC config must be rejected")
 	}
 }
 
@@ -621,5 +633,38 @@ func TestP99AtLeastMean(t *testing.T) {
 	_, res := runCfg(t, cfg)
 	if res.P99Latency < res.AvgLatency {
 		t.Errorf("p99 %.1f below mean %.1f", res.P99Latency, res.AvgLatency)
+	}
+}
+
+// foreignBuilder is a PathBuilder outside the routing package's compiled
+// forms (routing.NewTable reports ErrNoTable for it).
+type foreignBuilder struct{ routing.MinimalRouting }
+
+// TestForeignBuilderRoutesPerPacket: a builder with no compiled form is
+// routed packet by packet through its Route, with results identical to the
+// compiled table of the same routes.
+func TestForeignBuilderRoutesPerPacket(t *testing.T) {
+	net := snNetwork(t, 5, 4, core.LayoutSubgroup)
+	run := func(pb routing.PathBuilder) sim.Result {
+		cfg := sim.Config{
+			Net:     net,
+			Routing: pb,
+			VCs:     2,
+			Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.1, PacketFlits: 6,
+				Pattern: traffic.Uniform{N: net.N()}},
+			Seed: 7,
+		}
+		shortWindow(&cfg)
+		_, res := runCfg(t, cfg)
+		return res
+	}
+	minimal := &routing.MinimalRouting{P: routing.NewMinimal(net), VCs: 2}
+	compiled := run(minimal)
+	perPacket := run(&foreignBuilder{*minimal})
+	if compiled != perPacket {
+		t.Errorf("per-packet routing %+v != compiled table %+v", perPacket, compiled)
+	}
+	if compiled.Delivered == 0 {
+		t.Fatal("nothing delivered")
 	}
 }

@@ -62,8 +62,7 @@ func TestWithMemBudget(t *testing.T) {
 }
 
 // TestCampaignMemBudget checks the campaign plumbing: with a tiny per-point
-// budget every point fails with the sizing error (and the shared route-table
-// compile for oversized networks is skipped rather than allocated).
+// budget every point fails with the sizing error.
 func TestCampaignMemBudget(t *testing.T) {
 	results, err := RunCampaign(context.Background(),
 		[]RunSpec{budgetSpec()}, WithJobs(1), WithPointMemBudget(1024))

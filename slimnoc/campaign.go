@@ -431,15 +431,10 @@ func (c *Campaign) runPoint(ctx context.Context, i int, spec RunSpec, cache *net
 		// Static routing compiles once per (network, algorithm, VCs) and is
 		// shared read-only by every point using it. Compile errors are left
 		// for Runner.Run to rediscover and report; adaptive algorithms
-		// route per packet and have no compiled form.
-		// The eager compile happens before sim.New's budget check runs, so
-		// when the table alone would bust a point budget, skip it here and
-		// let sim.New report the sizing error without the allocation. The
-		// floor accounts for compact auto-selection: a 100k-endpoint minimal
-		// table is one byte per pair, not twelve, and fits budgets its dense
-		// form never could.
-		if re, ok := routings.lookup(spec.Routing.Algorithm); ok && !re.Adaptive &&
-			!(c.memBudget > 0 && tableFloorBytes(net, kind, spec.Routing.Algorithm) > c.memBudget) {
+		// route per packet and have no compiled form. The compile runs
+		// before sim.New's budget check, which then counts the table (at
+		// most one byte per router pair) against the point's budget.
+		if re, ok := routings.lookup(spec.Routing.Algorithm); ok && !re.Adaptive {
 			if tab, terr := cache.table(spec.Network, spec.Routing.Algorithm, spec.Routing.VCs); terr == nil {
 				cachedTab = tab
 				opts = append(opts, WithRouteTable(tab))

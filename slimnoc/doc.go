@@ -29,8 +29,10 @@
 // deterministic cartesian product of RunSpecs, and a Campaign executes them
 // on a worker pool — each distinct network built once and shared read-only,
 // each distinct (network, static routing, VCs) combination compiled once
-// into an immutable RouteTable shared the same way (CompileRouteTable /
-// WithRouteTable expose this to direct Runner use), per-point seeds fixed
+// into an immutable RouteTable shared the same way — one next-hop byte per
+// router pair for minimal routing, closed-form routes for the grid
+// baselines (CompileRouteTable / WithRouteTable expose this to direct
+// Runner use) — per-point seeds fixed
 // at expansion time (DeriveSeed) so results are byte-identical at any job
 // count, results streaming to pluggable Sinks (Collector, NewJSONLSink,
 // NewCSVSink) as points complete, and context cancellation returning the

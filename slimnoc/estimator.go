@@ -13,6 +13,10 @@ import (
 // internal/sim.
 type Transfer = sim.Transfer
 
+// MaxTransferFlits is the largest transfer an estimate accepts: the engine
+// indexes a packet's flits with 16 bits.
+const MaxTransferFlits = sim.MaxPacketFlits
+
 // EstimateResult is the latency answer for one transfer of an estimate
 // episode. All fields are deterministic functions of the estimator spec and
 // the episode's transfer batch, which is what makes responses cacheable and
@@ -149,19 +153,13 @@ func (e *Estimator) CycleTimeNs() float64 { return e.net.CycleTimeNs }
 
 // RouterPath returns the compiled router path a transfer from node src to
 // node dst follows (len >= 1; consecutive elements are the directed links
-// the transfer occupies). The returned slice is the table's interned
-// storage: read-only, valid for the estimator's lifetime.
+// the transfer occupies). The slice is a fresh copy owned by the caller.
 func (e *Estimator) RouterPath(src, dst int) ([]int, error) {
 	n := e.net.N()
 	if src < 0 || src >= n || dst < 0 || dst >= n {
 		return nil, fmt.Errorf("slimnoc: transfer endpoints (%d -> %d) out of node range [0, %d)", src, dst, n)
 	}
-	path, _ := e.table.Route(e.net.NodeRouter(src), e.net.NodeRouter(dst))
-	out := make([]int, len(path))
-	for i, r := range path {
-		out[i] = int(r)
-	}
-	return out, nil
+	return e.table.AppendPath(nil, e.net.NodeRouter(src), e.net.NodeRouter(dst)), nil
 }
 
 // Estimate runs one isolated episode: every transfer of the batch is
@@ -178,12 +176,13 @@ func (e *Estimator) Estimate(transfers []Transfer) ([]EstimateResult, error) {
 		return nil, err
 	}
 	out := make([]EstimateResult, len(transfers))
+	var next []uint32
 	for i, tr := range transfers {
-		path, _ := e.table.Route(e.net.NodeRouter(tr.Src), e.net.NodeRouter(tr.Dst))
+		next = e.table.AppendNext(next[:0], e.net.NodeRouter(tr.Src), e.net.NodeRouter(tr.Dst))
 		out[i] = EstimateResult{
 			LatencyCycles: lats[i],
 			LatencyNs:     float64(lats[i]) * e.net.CycleTimeNs,
-			Hops:          len(path) - 1,
+			Hops:          len(next) - 1,
 			Flits:         tr.Flits,
 		}
 	}

@@ -4,7 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"runtime"
+	"sort"
 	"testing"
+
+	"repro/internal/routing"
 )
 
 // TestRunnerWithRouteTable pins that a precompiled shared table changes
@@ -139,6 +142,87 @@ func TestCampaignSharedRouteTableRace(t *testing.T) {
 	for i, p := range results {
 		if p.Err != nil {
 			t.Errorf("point %d: %v", i, p.Err)
+		}
+	}
+}
+
+// TestGridRoutesMatchReference is the all-pairs equivalence proof of the
+// closed-form grid routes: on every Table 4 grid preset (N in {54, 192,
+// 200, 1296}) and, outside -short, the 10k-endpoint grids, the compiled
+// table's next-hop words equal the words derived from the reference
+// builder's Route() — each hop's port being the next router's position in
+// the sender's sorted adjacency row — for every router pair.
+func TestGridRoutesMatchReference(t *testing.T) {
+	presets := []string{
+		"t2d54", "fbf54", "pfbf54",
+		"cm3", "cm4", "t2d3", "t2d4", "fbf3", "fbf4", "pfbf3", "pfbf4",
+		"cm9", "cm8", "t2d9", "t2d8", "fbf9", "fbf8", "pfbf9", "pfbf8",
+	}
+	if !testing.Short() {
+		presets = append(presets, "cm10k", "t2d10k", "fbf10k")
+	}
+	for _, preset := range presets {
+		t.Run(preset, func(t *testing.T) {
+			net, kind, err := BuildNetwork(NetworkSpec{Preset: preset})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const vcs = 2
+			tab, err := CompileRouteTable(net, kind, "auto", vcs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tab.Compact() {
+				t.Fatal("grid preset compiled to the compact form")
+			}
+			ref, err := routing.NewRoutingFor(net, kind, vcs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var next, want []uint32
+			for src := 0; src < net.Nr; src++ {
+				for dst := 0; dst < net.Nr; dst++ {
+					path, hopVCs := ref.Route(src, dst)
+					want = want[:0]
+					for i := 0; i+1 < len(path); i++ {
+						row := net.Adj[path[i]]
+						port := sort.SearchInts(row, path[i+1])
+						if port == len(row) || row[port] != path[i+1] {
+							t.Fatalf("reference route %d->%d uses missing link %d->%d", src, dst, path[i], path[i+1])
+						}
+						want = append(want, routing.NextWord(port, hopVCs[i], vcs))
+					}
+					want = append(want, routing.NextEject)
+					next = tab.AppendNext(next[:0], src, dst)
+					if len(next) != len(want) {
+						t.Fatalf("%d->%d: %d next words, want %d", src, dst, len(next), len(want))
+					}
+					for i := range next {
+						if next[i] != want[i] {
+							t.Fatalf("%d->%d: next[%d] = %#x, want %#x", src, dst, i, next[i], want[i])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestRouteTableMemBytesAtScale pins the footprint of the scale family's
+// route tables: the 10k-endpoint SN's compact table and the 10k torus's
+// closed-form routes each stay within 2 MiB.
+func TestRouteTableMemBytesAtScale(t *testing.T) {
+	for _, preset := range []string{"sn_subgr_10000", "t2d10k"} {
+		net, kind, err := BuildNetwork(NetworkSpec{Preset: preset})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, err := CompileRouteTable(net, kind, "auto", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tab.MemBytes(); got > 2<<20 {
+			t.Errorf("%s: route table MemBytes = %d, want <= 2 MiB", preset, got)
 		}
 	}
 }

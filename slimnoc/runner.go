@@ -33,9 +33,9 @@ type Kind = routing.Kind
 // routing.PathBuilder.
 type PathBuilder = routing.PathBuilder
 
-// RouteTable is the compiled, interned form of a static routing algorithm;
-// see routing.RouteTable. Tables built by CompileRouteTable are immutable
-// and safe to share across concurrent runs.
+// RouteTable is the compiled form of a static routing algorithm; see
+// routing.RouteTable. Tables built by CompileRouteTable are immutable and
+// safe to share across concurrent runs.
 type RouteTable = routing.RouteTable
 
 // EngineStats is the simulator-core telemetry block attached to every
@@ -89,14 +89,14 @@ func WithNetwork(net *Network, kind routing.Kind) Option {
 
 // WithRouteTable supplies a precompiled route table for the spec's static
 // routing algorithm, skipping per-run path-builder construction and route
-// compilation. The table must come from CompileRouteTable (or
-// routing.Compile) for the same network, algorithm and VC count as the
-// spec. Compiled tables are immutable, so one table may back any number of
-// concurrent Runners — the Campaign engine shares one per distinct
-// (network, routing, VCs) combination, and
-// TestCampaignSharedRouteTableRace pins the contract under -race. The
-// table is ignored when the spec names an adaptive algorithm or a
-// WithAdaptivePolicy override is installed, since those route per packet.
+// compilation. The table must come from CompileRouteTable for the same
+// network, algorithm and VC count as the spec. Compiled tables are
+// immutable, so one table may back any number of concurrent Runners — the
+// Campaign engine shares one per distinct (network, routing, VCs)
+// combination, and TestCampaignSharedRouteTableRace pins the contract
+// under -race. The table is ignored when the spec names an adaptive
+// algorithm or a WithAdaptivePolicy override is installed, since those
+// route per packet.
 func WithRouteTable(t *RouteTable) Option {
 	return func(r *Runner) { r.table = t }
 }
@@ -318,38 +318,12 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	return res, runErr
 }
 
-// compactTableThreshold is the dense-table size above which
-// CompileRouteTable switches to the compact next-hop form for eligible
-// algorithms. 64 MiB keeps every benchmark-sized network on the dense
-// zero-reconstruction path while the paper's 100k-endpoint instances
-// (whose dense tables reach gigabytes) compress to one byte per pair.
-const compactTableThreshold = 64 << 20
-
-// compactSelected reports whether CompileRouteTable picks the compact form:
-// the algorithm must be compact-eligible and the dense table must exceed
-// compactTableThreshold. The dense size is the exact interned footprint
-// (routing.EstimateDenseBytes, a BFS distance census), not just the
-// nr^2 x 12 offset floor — long-path topologies like the 10k-endpoint
-// torus/mesh baselines intern hundreds of MiB of path bytes on top of a
-// 19 MiB floor. The floor short-circuits the census in both directions:
-// when the offsets alone bust the threshold (the 100k presets, where the
-// census itself would be minutes of BFS) the answer is compact without it.
-func compactSelected(net *Network, kind Kind, algorithm string) bool {
-	if !compactEligible(kind, algorithm) {
-		return false
-	}
-	if int64(net.Nr)*int64(net.Nr)*12 > compactTableThreshold {
-		return true
-	}
-	return routing.EstimateDenseBytes(net) > compactTableThreshold
-}
-
 // compactEligible reports whether the algorithm's routes on this topology
 // are exactly the deterministic minimal next-hop routes that
 // routing.CompileCompact reproduces: the generic minimal builder, either
 // named directly or selected by "auto" on a generic-class topology (SN,
 // Dragonfly, Clos). Grid algorithms (DOR, XY, datelines) assign VCs by
-// geometry rather than hop index and keep their dense tables.
+// geometry rather than hop index and compile to closed-form grid routes.
 func compactEligible(kind Kind, algorithm string) bool {
 	switch strings.ToLower(algorithm) {
 	case "minimal":
@@ -360,27 +334,18 @@ func compactEligible(kind Kind, algorithm string) bool {
 	return false
 }
 
-// tableFloorBytes is the minimum resident footprint of the table
-// CompileRouteTable would build for this point — the campaign uses it to
-// skip eager compilation that a point memory budget would reject anyway.
-func tableFloorBytes(net *Network, kind Kind, algorithm string) int64 {
-	if compactSelected(net, kind, algorithm) {
-		return int64(net.Nr) * int64(net.Nr) // compact: one next-hop byte per pair
-	}
-	return int64(net.Nr) * int64(net.Nr) * 12
-}
-
 // CompileRouteTable builds the immutable compiled route table for a static
 // routing algorithm on an already built network. The result is safe to
 // share across concurrent runs via WithRouteTable. Adaptive algorithms
 // (RoutingEntry.Adaptive) have no compiled form and are rejected.
 //
-// When the dense table would exceed compactTableThreshold (exact interned
-// size, see compactSelected), algorithms whose routes are deterministic
-// minimal next-hop routes (see compactEligible) compile to the compact
-// next-hop-only form — byte-identical routes at one byte per (src,dst)
-// pair — instead of the dense interned table; routing.CompileCompact is the
-// direct way to force that form at any size.
+// The form follows from the topology kind and the algorithm alone:
+// deterministic minimal routes (see compactEligible) compile to the compact
+// next-hop table, one byte per (src,dst) router pair, without building the
+// algorithm's path builder; grid algorithms compile to closed-form routes
+// (routing.NewTable). A registered builder with neither form is rejected
+// with an error wrapping routing.ErrNoTable; runs without a supplied table
+// route its packets one by one instead.
 func CompileRouteTable(net *Network, kind Kind, algorithm string, vcs int) (*RouteTable, error) {
 	re, ok := routings.lookup(algorithm)
 	if !ok {
@@ -390,24 +355,14 @@ func CompileRouteTable(net *Network, kind Kind, algorithm string, vcs int) (*Rou
 	if re.Adaptive {
 		return nil, fmt.Errorf("slimnoc: adaptive algorithm %q routes per packet and cannot be compiled", algorithm)
 	}
-	if compactSelected(net, kind, algorithm) {
+	if compactEligible(kind, algorithm) {
 		return routing.CompileCompact(net, vcs)
 	}
 	pb, _, err := re.New(net, kind, vcs)
 	if err != nil {
 		return nil, err
 	}
-	tab, err := routing.Compile(net.Nr, pb)
-	if err != nil {
-		return nil, err
-	}
-	// Bake the per-hop output ports in while the table is still private:
-	// engines sharing the frozen table then skip the per-packet adjacency
-	// searches entirely (sim.New cannot do this itself on a shared table).
-	if err := tab.CompilePorts(net.Adj); err != nil {
-		return nil, err
-	}
-	return tab, nil
+	return routing.NewTable(net, pb)
 }
 
 // Run builds a Runner for the spec and executes it.

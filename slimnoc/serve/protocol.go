@@ -171,23 +171,29 @@ type Response struct {
 
 // FlitsFor converts a wire transfer's size to flits: an explicit flit count
 // wins, else bytes are divided by the session's flit width (rounded up,
-// minimum one flit).
+// minimum one flit). Sizes beyond slimnoc.MaxTransferFlits flits, explicit
+// or derived from bytes, are rejected.
 func FlitsFor(t WireTransfer, flitBytes int) (int, error) {
 	if t.Flits < 0 || t.Bytes < 0 {
 		return 0, fmt.Errorf("serve: negative transfer size (flits %d, bytes %d)", t.Flits, t.Bytes)
 	}
-	if t.Flits > 0 {
-		return t.Flits, nil
-	}
-	if t.Bytes == 0 {
-		return 0, fmt.Errorf("serve: transfer %d -> %d has neither bytes nor flits", t.Src, t.Dst)
-	}
 	if flitBytes <= 0 {
 		flitBytes = DefaultFlitBytes
 	}
-	flits := int((t.Bytes + int64(flitBytes) - 1) / int64(flitBytes))
-	if flits < 1 {
-		flits = 1
+	flits := int64(t.Flits)
+	if flits == 0 {
+		if t.Bytes == 0 {
+			return 0, fmt.Errorf("serve: transfer %d -> %d has neither bytes nor flits", t.Src, t.Dst)
+		}
+		// Bytes/width rounded up, without overflowing near MaxInt64.
+		flits = t.Bytes / int64(flitBytes)
+		if t.Bytes%int64(flitBytes) != 0 {
+			flits++
+		}
 	}
-	return flits, nil
+	if flits > slimnoc.MaxTransferFlits {
+		return 0, fmt.Errorf("serve: transfer %d -> %d needs %d flits, over the %d-flit limit",
+			t.Src, t.Dst, flits, slimnoc.MaxTransferFlits)
+	}
+	return int(flits), nil
 }

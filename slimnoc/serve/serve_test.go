@@ -2,8 +2,10 @@ package serve_test
 
 import (
 	"context"
+	"math"
 	"net"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -286,6 +288,11 @@ func TestFlitsFor(t *testing.T) {
 		{serve.WireTransfer{}, 16, 0, true},
 		{serve.WireTransfer{Bytes: -1}, 16, 0, true},
 		{serve.WireTransfer{Flits: -1}, 16, 0, true},
+		{serve.WireTransfer{Flits: 65535}, 16, 65535, false},
+		{serve.WireTransfer{Flits: 65536}, 16, 0, true},
+		{serve.WireTransfer{Bytes: 65535 * 16}, 16, 65535, false},
+		{serve.WireTransfer{Bytes: 65535*16 + 1}, 16, 0, true},
+		{serve.WireTransfer{Bytes: math.MaxInt64}, 16, 0, true},
 	}
 	for i, tc := range cases {
 		got, err := serve.FlitsFor(tc.tr, tc.flitBytes)
@@ -293,6 +300,32 @@ func TestFlitsFor(t *testing.T) {
 			t.Errorf("case %d: FlitsFor(%+v, %d) = %d, %v; want %d, err=%v",
 				i, tc.tr, tc.flitBytes, got, err, tc.want, tc.wantErr)
 		}
+	}
+}
+
+// TestServeOversizedTransferKeepsSession is the regression test for a
+// transfer too large for the engine's 16-bit flit indices: explicit or
+// byte-derived, it gets an error reply, and the session keeps answering.
+func TestServeOversizedTransferKeepsSession(t *testing.T) {
+	srv := serve.NewServer()
+	cc := startServer(t, srv)
+	raw := rawSession(t, cc, []string{
+		`{"op":"hello","id":1,"spec":{"network":{"preset":"t2d54"}}}`,
+		`{"op":"estimate","id":2,"src":0,"dst":27,"flits":70000}`,
+		`{"op":"occupy","id":3,"src":0,"dst":27,"bytes":2000000,"start":0}`,
+		`{"op":"batch","id":4,"transfers":[{"src":0,"dst":27,"flits":1},{"src":1,"dst":2,"flits":65536}]}`,
+		`{"op":"estimate","id":5,"src":0,"dst":27,"flits":6}`,
+	})
+	if !raw[0].OK {
+		t.Fatalf("hello failed: %+v", raw[0])
+	}
+	for _, r := range raw[1:4] {
+		if r.OK || !strings.Contains(r.Error, "flit limit") {
+			t.Fatalf("oversized transfer not refused with the flit limit: %+v", r)
+		}
+	}
+	if !raw[4].OK || raw[4].Result == nil || raw[4].Result.LatencyCycles <= 0 {
+		t.Fatalf("session stopped answering after the refusals: %+v", raw[4])
 	}
 }
 
