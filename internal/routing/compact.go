@@ -46,21 +46,23 @@ func CompileCompact(net *topo.Network, vcs int) (*RouteTable, error) {
 	// NewMinimal's dist exactly; the next hop is NewMinimal's deterministic
 	// tie-break — the first (lowest-index, rows are sorted) neighbour strictly
 	// closer to the destination — recorded as its port position.
+	// The queue is one nr-slot array read from a head index: every router
+	// enters it at most once per destination.
 	dist := make([]int32, nr)
-	queue := make([]int32, 0, nr)
+	queue := make([]int32, nr)
 	for dst := 0; dst < nr; dst++ {
 		for i := range dist {
 			dist[i] = -1
 		}
 		dist[dst] = 0
-		queue = append(queue[:0], int32(dst))
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
+		queue[0] = int32(dst)
+		for head, tail := 0, 1; head < tail; head++ {
+			u := queue[head]
 			for _, v := range net.Adj[u] {
 				if dist[v] < 0 {
 					dist[v] = dist[u] + 1
-					queue = append(queue, int32(v))
+					queue[tail] = int32(v)
+					tail++
 				}
 			}
 		}

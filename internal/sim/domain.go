@@ -200,10 +200,9 @@ func (s *Sim) stepLink(li int) bool {
 			if inLen[vb+vc] == 0 {
 				s.inFront[vb+vc] = lf.f
 				s.inNext[vb+vc] = lf.f.next
-				if s.occIn != nil {
-					//detlint:allow sharedread receiver-exclusive: one receiving router per directed link, the occupancy bit belongs to the receiving router
-					s.occIn[to] |= 1 << uint(l.toPort*s.vcs+vc)
-				}
+				b := l.toPort*s.vcs + vc
+				//detlint:allow sharedread receiver-exclusive: one receiving router per directed link, the occupancy bit belongs to the receiving router
+				s.occIn[to*s.occW+b>>6] |= 1 << uint(b&63)
 			}
 			inLen[vb+vc]++
 			lane.pop()

@@ -42,6 +42,14 @@ func (b *bernoulliSource) OnDelivered(t int64, src, dst, flits, class int, emit 
 
 func newEngineSim(t testing.TB, scheme BufferScheme, rate float64) *Sim {
 	t.Helper()
+	return newEngineSimVCs(t, scheme, rate, 2)
+}
+
+// newEngineSimVCs is newEngineSim with the VC count chosen by the caller:
+// the network has 7 ports per router, so more than 9 VCs spread a router's
+// input slots over several occupancy words.
+func newEngineSimVCs(t testing.TB, scheme BufferScheme, rate float64, vcs int) *Sim {
+	t.Helper()
 	sn, err := core.New(core.Params{Q: 5, P: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -52,8 +60,8 @@ func newEngineSim(t testing.TB, scheme BufferScheme, rate float64) *Sim {
 	}
 	cfg := Config{
 		Net:     net,
-		Routing: &routing.MinimalRouting{P: routing.NewMinimal(net), VCs: 2},
-		VCs:     2,
+		Routing: &routing.MinimalRouting{P: routing.NewMinimal(net), VCs: vcs},
+		VCs:     vcs,
 		Scheme:  scheme,
 		Traffic: &bernoulliSource{n: net.N(), rate: rate, flits: 6},
 		Seed:    211,
@@ -80,19 +88,22 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	for _, sc := range []struct {
 		name   string
 		scheme BufferScheme
+		vcs    int
+		words  int // occupancy words per router
 	}{
-		{"EB", EdgeBuffers},
-		{"CBR", CentralBuffer},
-		{"EL", ElasticLinks},
+		{"EB", EdgeBuffers, 2, 1},
+		{"CBR", CentralBuffer, 2, 1},
+		{"EL", ElasticLinks, 2, 1},
+		{"EB-wide", EdgeBuffers, 20, 3},
+		{"CBR-wide", CentralBuffer, 20, 3},
 	} {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			s := newEngineSim(t, sc.scheme, 0.06)
-			// The golden SN network is narrow enough for the occupancy
-			// bitmask, so these cases pin the bitmask arbitration walk —
-			// the allocation-free fast path the router phase runs on.
-			if s.occIn == nil {
-				t.Fatalf("occupancy bitmask inactive (stride %d x vcs %d); test no longer covers the arbitration fast path", s.stride, s.vcs)
+			s := newEngineSimVCs(t, sc.scheme, 0.06, sc.vcs)
+			// The arbitration walk serves every router width; pin that
+			// each case really covers the width it is named for.
+			if s.occW != sc.words {
+				t.Fatalf("router spans %d occupancy words (stride %d x vcs %d), want %d", s.occW, s.stride, s.vcs, sc.words)
 			}
 			// Warm up past the warmup phase and into measurement so every
 			// ring, pool and wheel bucket has reached its steady-state

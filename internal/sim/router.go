@@ -85,158 +85,91 @@ func (s *Sim) stepRouter(d *domain, r int) {
 	}
 
 	// 1. Central-buffer read port: drain at most one flit from the CB.
-	// The CBR input scan keeps the flit-carrying slow path (tryAdvanceCBR):
-	// its buffered path must make progress even when the output is blocked,
-	// so readiness cannot gate the probe.
-	if s.scheme == CentralBuffer {
+	cbr := s.scheme == CentralBuffer
+	if cbr {
 		s.cbDrain(d, r)
+	}
+
+	// 2. Network inputs: one arbitration walk for every scheme and router
+	// width. The walk visits the occupied input slots from the cycle's
+	// starting port to the last port, then from port 0 back to the start.
+	// The starting port advances once per cycle whether or not the router
+	// does work, so it is derived from the clock rather than stored (idle
+	// routers are skipped entirely but must arbitrate identically). After a
+	// move or an ejection the walk skips to the next port block: at most
+	// one flit leaves each input port per cycle. A failed probe moves on to
+	// the next occupied slot.
+	//
+	// EdgeBuffers and elastic probes read the slot's next-hop word and test
+	// it against the conflict mask and the readiness word — all dense
+	// scalar arrays; the flit itself is only loaded for the VC-ownership
+	// check and the move. CBR probes take the flit-carrying slow path
+	// (tryAdvanceCBR): its buffered path must make progress even when the
+	// output is blocked, so readiness cannot gate the probe.
+	if kp > 0 {
+		vcs := s.vcs
+		nb := kp * vcs
+		sb := int(now%int64(kp)) * vcs
+		occ := s.occIn[r*s.occW : (r+1)*s.occW]
+		pbv := pb * vcs
 		cbWrote := false
-		if kp > 0 {
-			pi := int(now % int64(kp))
-			vb := (pb + pi) * s.vcs
-			for off := 0; off < kp; off++ {
-				for vc := 0; vc < s.vcs; vc++ {
-					if s.inLen[vb+vc] == 0 {
-						continue
-					}
-					if s.tryAdvanceCBR(d, r, s.inFront[vb+vc], &cbWrote, pi, vc) {
-						break
-					}
-				}
-				pi++
-				vb += s.vcs
-				if pi == kp {
-					pi = 0
-					vb = pb * s.vcs
-				}
-			}
-		}
-	} else if kp > 0 {
-		// 2. Network inputs, arbitration fast path (EdgeBuffers/elastic):
-		// iterate ports with a rotating start for fairness. The rotation
-		// advances once per cycle whether or not the router does work, so it
-		// is derived from the clock rather than stored (idle routers are
-		// skipped entirely but must arbitrate identically). A probe reads the
-		// input's next-hop word and tests it against the conflict mask and
-		// the readiness word — all dense scalar arrays; the flit itself is
-		// only loaded for the VC-ownership check and the move.
-		pi := int(now % int64(kp))
-		pbv := pb * s.vcs
 		// Local views keep the probe loop free of slice-header reloads: the
 		// callees mutate elements, never the headers.
 		inNext, inFront := s.inNext, s.inFront
 		space, outOwner := s.space, s.outOwner
 		mask := d.outMask
-		if occ := s.occIn; occ != nil {
-			// Occupancy-bitmask walk: rotate the router's occupancy word by
-			// the cycle's starting port and visit only the set bits, in
-			// ascending rotated order — exactly the non-empty slots the
-			// port-by-port loop below would probe, in the same order. Port
-			// blocks stay contiguous under the rotation (the shift is a
-			// multiple of vcs), so "one move per input port per cycle" is a
-			// vcs-wide bit clear at the moved port's block.
-			m := occ[r]
-			nb := uint(kp * s.vcs)
-			sb := uint(pi * s.vcs)
-			full := ^uint64(0) >> (64 - nb)
-			rm := ((m >> sb) | (m << (nb - sb))) & full
-			for rm != 0 {
-				ro := uint(bits.TrailingZeros64(rm))
-				b := ro + sb
-				if b >= nb {
-					b -= nb
+		for pass, lo, hi := 0, sb, nb; pass < 2; pass, lo, hi = pass+1, 0, sb {
+			for b := nextOcc(occ, lo, hi); b < hi; b = nextOcc(occ, b, hi) {
+				slot := pbv + b
+				if cbr {
+					if vc := b % vcs; s.tryAdvanceCBR(d, r, inFront[slot], &cbWrote, b/vcs, vc) {
+						b += vcs - vc
+					} else {
+						b++
+					}
+					continue
 				}
-				slot := pbv + int(b)
 				nx := inNext[slot]
 				if nx == nextEject {
 					// Ejection: one flit per node ejection port per cycle.
 					f := inFront[slot]
 					eslot := s.ejSlot(f.pkt.dst)
 					if s.ejUsedAt[eslot] == now {
-						rm &= rm - 1
+						b++
 						continue
 					}
 					s.ejUsedAt[eslot] = now
-					vc := int(b) % s.vcs
-					s.popInput(d, r, pb+int(b)/s.vcs, slot, vc)
+					vc := b % vcs
+					s.popInput(d, r, pb+b/vcs, slot, vc)
 					s.ejectWithDelay(d, r, f)
-					rm &= ^(((uint64(1) << uint(s.vcs)) - 1) << (ro - uint(vc)))
+					b += vcs - vc
 					continue
 				}
 				if mask[nx>>22]&(1<<((nx>>16)&63)) != 0 {
-					rm &= rm - 1 // output port claimed this cycle
+					b++ // output port claimed this cycle
 					continue
 				}
 				vi := pbv + int(nx&0xffff)
 				if space[vi] <= 0 {
-					rm &= rm - 1 // downstream not ready
+					b++ // downstream not ready
 					continue
 				}
 				f := inFront[slot]
 				if owner := outOwner[vi]; f.idx == 0 {
 					if owner != -1 {
-						rm &= rm - 1 // head flit: output VC taken
+						b++ // head flit: output VC taken
 						continue
 					}
 				} else if owner != f.pkt.id {
-					rm &= rm - 1 // body flit: not our wormhole
+					b++ // body flit: not our wormhole
 					continue
 				}
-				vc := int(b) % s.vcs
-				s.popInput(d, r, pb+int(b)/s.vcs, slot, vc)
+				vc := b % vcs
+				s.popInput(d, r, pb+b/vcs, slot, vc)
 				d.forwarded++
 				outPort := int(nx >> 16)
-				s.sendFlit(d, r, f, outPort, int(nx&0xffff)-outPort*s.vcs, vi, routerDelayDirect)
-				rm &= ^(((uint64(1) << uint(s.vcs)) - 1) << (ro - uint(vc)))
-			}
-		} else {
-			// Wide-router fallback (stride*vcs > 64): probe every slot.
-			vb := pbv + pi*s.vcs
-			for off := 0; off < kp; off++ {
-				for vc := 0; vc < s.vcs; vc++ {
-					nx := inNext[vb+vc]
-					if nx >= nextNone {
-						if nx == nextNone {
-							continue // empty input VC
-						}
-						// Ejection: one flit per node ejection port per cycle.
-						f := inFront[vb+vc]
-						slot := s.ejSlot(f.pkt.dst)
-						if s.ejUsedAt[slot] == now {
-							continue
-						}
-						s.ejUsedAt[slot] = now
-						s.popInput(d, r, pb+pi, vb+vc, vc)
-						s.ejectWithDelay(d, r, f)
-						break
-					}
-					if mask[nx>>22]&(1<<((nx>>16)&63)) != 0 {
-						continue // output port claimed this cycle
-					}
-					vi := pbv + int(nx&0xffff)
-					if space[vi] <= 0 {
-						continue // downstream not ready
-					}
-					f := inFront[vb+vc]
-					if owner := outOwner[vi]; f.idx == 0 {
-						if owner != -1 {
-							continue // head flit: output VC taken
-						}
-					} else if owner != f.pkt.id {
-						continue // body flit: not our wormhole
-					}
-					s.popInput(d, r, pb+pi, vb+vc, vc)
-					d.forwarded++
-					outPort := int(nx >> 16)
-					s.sendFlit(d, r, f, outPort, int(nx&0xffff)-outPort*s.vcs, vi, routerDelayDirect)
-					break
-				}
-				pi++
-				vb += s.vcs
-				if pi == kp {
-					pi = 0
-					vb = pbv
-				}
+				s.sendFlit(d, r, f, outPort, int(nx&0xffff)-outPort*vcs, vi, routerDelayDirect)
+				b += vcs - vc
 			}
 		}
 	}
@@ -284,6 +217,21 @@ func (s *Sim) stepRouter(d *domain, r int) {
 		outPort := int(nx >> 16)
 		s.sendFlit(d, r, f, outPort, int(nx&0xffff)-outPort*s.vcs, vi, routerDelayDirect)
 	}
+}
+
+// nextOcc returns the lowest occupied input slot in [b, hi) of the router
+// whose occupancy words are occ, or hi when there is none. Empty words are
+// skipped whole; a set bit costs one TrailingZeros64.
+//
+//sim:hot
+func nextOcc(occ []uint64, b, hi int) int {
+	for b < hi {
+		if w := occ[b>>6] >> uint(b&63); w != 0 {
+			return min(b+bits.TrailingZeros64(w), hi)
+		}
+		b = (b | 63) + 1
+	}
+	return hi
 }
 
 // popInj removes the front flit of a NIC injection queue, keeping the dense
@@ -563,10 +511,9 @@ func (s *Sim) popInput(d *domain, r, pv, vi, vc int) {
 		s.inNext[vi] = nf.next
 	} else {
 		s.inNext[vi] = nextNone
-		if s.occIn != nil {
-			//detlint:allow sharedread owner-exclusive: router r belongs to this domain in the router phase, and the word occIn[r] is only ever written by r's owner (link-phase sets also target the receiving domain's own routers)
-			s.occIn[r] &^= 1 << uint(vi-r*s.stride*s.vcs)
-		}
+		b := vi - r*s.stride*s.vcs
+		//detlint:allow sharedread owner-exclusive: router r belongs to this domain in the router phase, and r's occupancy words are only ever written by r's owner (link-phase sets also target the receiving domain's own routers)
+		s.occIn[r*s.occW+b>>6] &^= 1 << uint(b&63)
 	}
 	lid := s.inLink[pv]
 	if s.single {

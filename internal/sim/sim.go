@@ -142,6 +142,8 @@ type Config struct {
 	// NOT part of slimnoc's RunSpec or PointKey.
 	MemBudgetBytes int64
 
+	// Phase lengths in cycles; 0 selects the default and negative values
+	// are rejected by New.
 	WarmupCycles  int64
 	MeasureCycles int64
 	DrainCycles   int64
@@ -413,15 +415,16 @@ type Sim struct {
 	// touching no flit, packet or ring memory at all.
 	inNext   []uint32 // [(r*stride+pi)*vcs+vc]
 	outOwner []int64  // [(r*stride+pi)*vcs+vc] owning packet id, or -1
-	// occIn is the per-router input-occupancy bitmask: bit pi*vcs+vc is set
-	// iff input slot (pi, vc) holds at least one flit. The arbitration scan
-	// rotates it by the cycle's starting port and walks only the set bits
-	// (bits.TrailingZeros64), visiting exactly the non-empty slots the
-	// port-by-port probe loop would have found, in the same order. nil when a
-	// router's slots cannot fit one word (stride*vcs > 64) — the scan then
-	// falls back to probing every slot. Maintained by stepLink (set on
-	// 0->non-empty) and popInput (clear on ->empty).
-	occIn []uint64 // [r], bit pi*vcs+vc; nil when stride*vcs > 64
+	// occIn is the per-router input-occupancy bitmask: bit pi*vcs+vc of
+	// router r's occW-word block is set iff input slot (pi, vc) holds at
+	// least one flit. The arbitration walk (nextOcc) visits only the set
+	// bits, from the cycle's starting port to the end and then from port 0
+	// back to the start, so it probes exactly the non-empty slots a
+	// port-by-port scan would, in the same order, whatever the router's
+	// width. Maintained by stepLink (set on 0->non-empty) and popInput
+	// (clear on ->empty).
+	occIn []uint64 // [r*occW + b/64], bit b%64 for slot b = pi*vcs+vc
+	occW  int      // words per router: ceil(stride*vcs/64)
 	// space is the per-(port,vc) output readiness word: how many more flits
 	// this output can accept right now. For EdgeBuffers it is the classic
 	// credit count (returned through the credit wheel); for elastic schemes
@@ -620,6 +623,14 @@ func New(cfg Config) (*Sim, error) {
 		// would silently collide.
 		return nil, fmt.Errorf("sim: VCs = %d out of range [1, %d]", cfg.VCs, maxVCs)
 	}
+	for _, ph := range []struct {
+		name   string
+		cycles int64
+	}{{"WarmupCycles", cfg.WarmupCycles}, {"MeasureCycles", cfg.MeasureCycles}, {"DrainCycles", cfg.DrainCycles}} {
+		if ph.cycles < 0 {
+			return nil, fmt.Errorf("sim: %s = %d, want >= 0 (0 selects the default)", ph.name, ph.cycles)
+		}
+	}
 	s := &Sim{
 		cfg:    cfg,
 		net:    cfg.Net,
@@ -662,9 +673,8 @@ func New(cfg Config) (*Sim, error) {
 	for i := range s.inNext {
 		s.inNext[i] = nextNone
 	}
-	if s.stride*s.vcs <= 64 {
-		s.occIn = make([]uint64, nr)
-	}
+	s.occW = (s.stride*s.vcs + 63) / 64
+	s.occIn = make([]uint64, nr*s.occW)
 	s.outOwner = make([]int64, nv)
 	s.space = make([]int32, nv)
 	if cfg.Scheme == CentralBuffer {

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -428,6 +429,23 @@ func TestConfigValidation(t *testing.T) {
 		Traffic: &traffic.Synthetic{N: 8, Rate: 0.1, PacketFlits: 2, Pattern: traffic.Uniform{N: 8}},
 	}); err == nil {
 		t.Error("indirect networks must be rejected")
+	}
+	net := snNetwork(t, 3, 3, core.LayoutSubgroup)
+	for _, c := range []struct {
+		name string
+		set  func(*sim.Config)
+	}{
+		{"WarmupCycles = -1", func(c *sim.Config) { c.WarmupCycles = -1 }},
+		{"MeasureCycles = -20", func(c *sim.Config) { c.MeasureCycles = -20 }},
+		{"DrainCycles = -3", func(c *sim.Config) { c.DrainCycles = -3 }},
+	} {
+		cfg := sim.Config{Net: net, Routing: minRouting(t, net, 2), VCs: 2,
+			Traffic: &traffic.Synthetic{N: net.N(), Rate: 0.1, PacketFlits: 2, Pattern: traffic.Uniform{N: net.N()}}}
+		c.set(&cfg)
+		_, err := sim.New(cfg)
+		if err == nil || !strings.Contains(err.Error(), c.name) {
+			t.Errorf("%s: New returned %v, want an error naming it", c.name, err)
+		}
 	}
 }
 

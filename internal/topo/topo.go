@@ -133,32 +133,49 @@ func (n *Network) Connected(i, j int) bool {
 }
 
 // Diameter returns the maximum over all router pairs of the shortest-path
-// hop count, computed by BFS from every router.
+// hop count, or -1 when some router cannot reach another. It runs a
+// bit-parallel BFS from 64 sources per pass: bit i of a router's words
+// stands for source base+i, and each level ORs the neighbours' frontier
+// words, so one sweep of the adjacency advances all 64 searches. Levels
+// follow in-edges, which for the symmetric adjacency of a Network are the
+// out-edges; the maximum over all pairs is the same either way.
 func (n *Network) Diameter() int {
+	nr := n.Nr
+	seen := make([]uint64, nr)
+	front := make([]uint64, nr)
+	next := make([]uint64, nr)
 	diam := 0
-	dist := make([]int, n.Nr)
-	queue := make([]int, 0, n.Nr)
-	for s := 0; s < n.Nr; s++ {
-		for i := range dist {
-			dist[i] = -1
+	for base := 0; base < nr; base += 64 {
+		k := min(64, nr-base)
+		all := ^uint64(0) >> (64 - k)
+		clear(seen)
+		clear(front)
+		for i := 0; i < k; i++ {
+			seen[base+i] = 1 << i
+			front[base+i] = 1 << i
 		}
-		dist[s] = 0
-		queue = append(queue[:0], s)
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range n.Adj[u] {
-				if dist[v] < 0 {
-					dist[v] = dist[u] + 1
-					if dist[v] > diam {
-						diam = dist[v]
-					}
-					queue = append(queue, v)
+		for level := 1; ; level++ {
+			grew := false
+			for v, adj := range n.Adj[:nr] {
+				var m uint64
+				for _, u := range adj {
+					m |= front[u]
+				}
+				m &^= seen[v]
+				next[v] = m
+				if m != 0 {
+					seen[v] |= m
+					grew = true
 				}
 			}
+			if !grew {
+				break
+			}
+			diam = max(diam, level)
+			front, next = next, front
 		}
-		for _, d := range dist {
-			if d < 0 {
+		for _, m := range seen {
+			if m != all {
 				return -1 // disconnected
 			}
 		}

@@ -2,9 +2,11 @@
 // Sizer decomposition. A Process decides, per node per cycle, whether the
 // node starts a packet; the spatial Pattern then picks the destination and
 // the Sizer the length. All processes are deterministic functions of the
-// run's RNG stream: Begin is drawn exactly once per cycle and Inject exactly
-// once per node per cycle (in ascending node order), so a fixed seed always
-// produces the identical injection sequence.
+// run's RNG stream: each cycle a process takes its per-cycle draws first,
+// then one node at a time (ascending) takes that node's draws and, when the
+// node fires, hands it to the start callback before the next node draws, so
+// the destination and size draws interleave with the injection draws and a
+// fixed seed always produces the identical injection sequence.
 
 package traffic
 
@@ -21,12 +23,12 @@ import "math/rand"
 // TestSteadyStateZeroAllocsWorkloads in internal/sim).
 type Process interface {
 	Name() string
-	// Begin is called once at the top of each generation cycle, before any
-	// Inject call, so globally modulated processes can advance their state.
-	Begin(t int64, rng *rand.Rand)
-	// Inject reports whether the node starts a packet this cycle. It is
-	// called once per node per cycle, nodes ascending.
-	Inject(rng *rand.Rand, node int, prob float64) bool
+	// Cycle advances the process by cycle t for nodes 0..n-1 and calls
+	// start(node) for every node that starts a packet, nodes ascending.
+	// start draws the packet's destination and size from rng, so a node's
+	// call must come after that node's own draws and before the next
+	// node's.
+	Cycle(t int64, rng *rand.Rand, n int, prob float64, start func(node int))
 }
 
 // Bernoulli is the paper's open-loop memoryless process (§5.1): every node
@@ -40,16 +42,15 @@ type Bernoulli struct{}
 // Name implements Process.
 func (Bernoulli) Name() string { return "bernoulli" }
 
-// Begin implements Process (memoryless: no per-cycle state, no RNG draw).
+// Cycle implements Process (memoryless: no per-cycle state or draw).
 //
 //sim:hot
-func (Bernoulli) Begin(t int64, rng *rand.Rand) {}
-
-// Inject implements Process.
-//
-//sim:hot
-func (Bernoulli) Inject(rng *rand.Rand, node int, prob float64) bool {
-	return rng.Float64() < prob
+func (Bernoulli) Cycle(t int64, rng *rand.Rand, n int, prob float64, start func(node int)) {
+	for node := 0; node < n; node++ {
+		if rng.Float64() < prob {
+			start(node)
+		}
+	}
 }
 
 // OnOff is a two-state bursty process: each node alternates independently
@@ -96,27 +97,25 @@ func NewOnOff(n int, burstLen, duty float64) *OnOff {
 // Name implements Process.
 func (o *OnOff) Name() string { return "burst" }
 
-// Begin implements Process (state is per node, advanced in Inject).
+// Cycle implements Process: advance each node's two-state chain, then draw
+// the injection decision while it is on.
 //
 //sim:hot
-func (o *OnOff) Begin(t int64, rng *rand.Rand) {}
-
-// Inject implements Process: advance the node's two-state chain, then draw
-// the injection decision while on.
-//
-//sim:hot
-func (o *OnOff) Inject(rng *rand.Rand, node int, prob float64) bool {
-	if o.on[node] {
-		if rng.Float64() < o.exitOn {
-			o.on[node] = false
+func (o *OnOff) Cycle(t int64, rng *rand.Rand, n int, prob float64, start func(node int)) {
+	onProb := prob / o.Duty
+	on := o.on
+	for node := 0; node < n; node++ {
+		if on[node] {
+			if rng.Float64() < o.exitOn {
+				on[node] = false
+			}
+		} else if rng.Float64() < o.exitOff {
+			on[node] = true
 		}
-	} else if rng.Float64() < o.exitOff {
-		o.on[node] = true
+		if on[node] && rng.Float64() < onProb {
+			start(node)
+		}
 	}
-	if !o.on[node] {
-		return false
-	}
-	return rng.Float64() < prob/o.Duty
 }
 
 // Modulated is an MMPP-style process: one global two-state Markov chain
@@ -155,25 +154,24 @@ func NewModulated(factor, period float64) *Modulated {
 // Name implements Process.
 func (m *Modulated) Name() string { return "mmpp" }
 
-// Begin implements Process: one global state-transition draw per cycle.
+// Cycle implements Process: one global state-transition draw, then one
+// injection draw per node at the state's probability.
 //
 //sim:hot
-func (m *Modulated) Begin(t int64, rng *rand.Rand) {
+func (m *Modulated) Cycle(t int64, rng *rand.Rand, n int, prob float64, start func(node int)) {
 	if rng.Float64() < m.flip {
 		m.high = !m.high
 	}
-}
-
-// Inject implements Process.
-//
-//sim:hot
-func (m *Modulated) Inject(rng *rand.Rand, node int, prob float64) bool {
 	if m.high {
 		prob *= m.Factor
 	} else {
 		prob *= 2 - m.Factor
 	}
-	return rng.Float64() < prob
+	for node := 0; node < n; node++ {
+		if rng.Float64() < prob {
+			start(node)
+		}
+	}
 }
 
 // Sizer is the packet-length axis of the decomposition: it draws the flit

@@ -279,6 +279,12 @@ type Synthetic struct {
 	Process Process
 	// Sizer draws per-packet lengths (nil = Fixed{PacketFlits}).
 	Sizer Sizer
+
+	// The current cycle's RNG and emit sink, read by start (a method value
+	// bound once, so the per-cycle Process call allocates nothing).
+	rng   *rand.Rand
+	emit  func(src, dst, flits, class int)
+	start func(node int)
 }
 
 var _ sim.Source = (*Synthetic)(nil)
@@ -287,8 +293,9 @@ var _ sim.Source = (*Synthetic)(nil)
 //
 //sim:hot
 func (s *Synthetic) Generate(t int64, rng *rand.Rand, emit func(src, dst, flits, class int)) {
-	// Defaults are pinned on first use (not per cycle) so the interface
-	// conversions never allocate inside the steady-state loop.
+	// Defaults and the start callback are pinned on first use (not per
+	// cycle) so the interface conversions and the method value never
+	// allocate inside the steady-state loop.
 	if s.Process == nil {
 		//detlint:allow hotalloc one-time default pinning on first use; never reassigned in steady state
 		s.Process = Bernoulli{}
@@ -297,13 +304,20 @@ func (s *Synthetic) Generate(t int64, rng *rand.Rand, emit func(src, dst, flits,
 		//detlint:allow hotalloc one-time default pinning on first use; never reassigned in steady state
 		s.Sizer = Fixed{Flits: s.PacketFlits}
 	}
-	prob := s.Rate / s.Sizer.Mean()
-	s.Process.Begin(t, rng)
-	for node := 0; node < s.N; node++ {
-		if s.Process.Inject(rng, node, prob) {
-			emit(node, s.Pattern.Dest(rng, node), s.Sizer.Draw(rng), 0)
-		}
+	if s.start == nil {
+		//detlint:allow hotalloc one-time method value on first use; never reassigned in steady state
+		s.start = s.startPacket
 	}
+	s.rng, s.emit = rng, emit
+	s.Process.Cycle(t, rng, s.N, s.Rate/s.Sizer.Mean(), s.start)
+}
+
+// startPacket draws the destination and size of the packet node starts
+// this cycle and emits it.
+//
+//sim:hot
+func (s *Synthetic) startPacket(node int) {
+	s.emit(node, s.Pattern.Dest(s.rng, node), s.Sizer.Draw(s.rng), 0)
 }
 
 // OnDelivered implements sim.Source (synthetic traffic has no replies).

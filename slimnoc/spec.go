@@ -298,7 +298,24 @@ func (s RunSpec) Validate() error {
 		return fmt.Errorf("slimnoc: unknown traffic pattern %q (have %s)",
 			s.Traffic.Pattern, strings.Join(Traffics(), ", "))
 	}
+	if err := s.Sim.validate(); err != nil {
+		return err
+	}
 	return s.Traffic.validate()
+}
+
+// validate checks the phase lengths: zero selects the simulator's default,
+// negative is an error.
+func (ss SimSpec) validate() error {
+	for _, ph := range []struct {
+		name   string
+		cycles int64
+	}{{"warmup_cycles", ss.WarmupCycles}, {"measure_cycles", ss.MeasureCycles}, {"drain_cycles", ss.DrainCycles}} {
+		if ph.cycles < 0 {
+			return fmt.Errorf("slimnoc: sim.%s = %d, want >= 0 (0 selects the default)", ph.name, ph.cycles)
+		}
+	}
+	return nil
 }
 
 // validate checks the workload-axis fields of an already normalized

@@ -84,6 +84,9 @@ func TestValidate(t *testing.T) {
 		{"bad routing", func(s *RunSpec) { s.Routing.Algorithm = "magic" }, "routing"},
 		{"bad scheme", func(s *RunSpec) { s.Buffering.Scheme = "infinite" }, "scheme"},
 		{"bad pattern", func(s *RunSpec) { s.Traffic.Pattern = "xxx" }, "pattern"},
+		{"negative warmup", func(s *RunSpec) { s.Sim.WarmupCycles = -1 }, "sim.warmup_cycles = -1"},
+		{"negative measure", func(s *RunSpec) { s.Sim.MeasureCycles = -100 }, "sim.measure_cycles = -100"},
+		{"negative drain", func(s *RunSpec) { s.Sim.DrainCycles = -5 }, "sim.drain_cycles = -5"},
 	}
 	for _, c := range cases {
 		s := testSpec()

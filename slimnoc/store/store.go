@@ -16,15 +16,18 @@
 //
 // # Concurrency
 //
-// A Store is safe for concurrent use by any number of goroutines: every
-// operation serializes on one internal mutex, so readers see either the
-// state before a concurrent Put or the state after it, never a torn
-// record. The intended access pattern is read-mostly — many goroutines
-// Get cached results while an occasional writer Puts new ones (a campaign
-// filling in missing points, a serve session caching a fresh estimate) —
-// and that pattern is pinned under the race detector by
-// TestStoreConcurrentReadMostly. Puts are durable before they are visible:
-// a Get can only return a value that has already been synced to disk.
+// A Store is safe for concurrent use by any number of goroutines. Appends
+// serialize on a writer mutex that is held across the write and the fsync;
+// the in-memory index has its own mutex, held only to read or update the
+// map, so a Get never waits on a disk sync (pinned by
+// TestStoreGetDuringPutSync). Readers see either the state before a
+// concurrent Put or the state after it, never a torn record. The intended
+// access pattern is read-mostly — many goroutines Get cached results while
+// an occasional writer Puts new ones (a campaign filling in missing points,
+// a serve session caching a fresh estimate) — and that pattern is pinned
+// under the race detector by TestStoreConcurrentReadMostly. Puts are
+// durable before they are visible: a record enters the index only after
+// its sync returns, so a Get can only return a value that is on disk.
 package store
 
 import (
@@ -75,14 +78,23 @@ type record struct {
 // for concurrent use: campaign workers Put from multiple goroutines while
 // others Get. A Store holds its file open for appending until Close.
 type Store struct {
-	mu        sync.Mutex
-	f         *os.File
-	path      string
-	index     map[Key]json.RawMessage
-	recovered int
+	path string
+
+	// wmu serializes appends and Close; it guards the file and its size.
+	wmu sync.Mutex
+	f   *os.File
 	// size is the byte length of the durable, fully terminated records —
 	// the rollback point when an append fails partway.
 	size int64
+	// sync makes an appended record durable; tests substitute it to hold a
+	// Put inside its sync.
+	sync func(*os.File) error
+
+	// mu guards the index and the recovery count; it is never held across
+	// file I/O.
+	mu        sync.Mutex
+	index     map[Key]json.RawMessage
+	recovered int
 }
 
 // Open loads (or creates) the store at path, replaying its JSONL records
@@ -96,7 +108,7 @@ func Open(path string) (*Store, error) {
 			return nil, fmt.Errorf("store: open %s: %w", path, err)
 		}
 	}
-	s := &Store{path: path, index: make(map[Key]json.RawMessage)}
+	s := &Store{path: path, index: make(map[Key]json.RawMessage), sync: (*os.File).Sync}
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("store: open %s: %w", path, err)
@@ -179,9 +191,14 @@ func (s *Store) Put(key Key, value json.RawMessage) error {
 	if err != nil {
 		return fmt.Errorf("store: put: %w", err)
 	}
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	// Only appends change the index, and they all hold wmu, so the value
+	// read here stays current until this Put returns.
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if old, ok := s.index[key]; ok && bytes.Equal(old, value) {
+	old, ok := s.index[key]
+	s.mu.Unlock()
+	if ok && bytes.Equal(old, value) {
 		return nil
 	}
 	if s.f == nil {
@@ -190,7 +207,7 @@ func (s *Store) Put(key Key, value json.RawMessage) error {
 	rec := append(line, '\n')
 	_, werr := s.f.Write(rec)
 	if werr == nil {
-		werr = s.f.Sync()
+		werr = s.sync(s.f)
 	}
 	if werr != nil {
 		// A short write may have left an unterminated partial line, and an
@@ -206,7 +223,10 @@ func (s *Store) Put(key Key, value json.RawMessage) error {
 		return fmt.Errorf("store: put: %w", werr)
 	}
 	s.size += int64(len(rec))
-	s.index[key] = append(json.RawMessage(nil), value...)
+	stored := append(json.RawMessage(nil), value...)
+	s.mu.Lock()
+	s.index[key] = stored
+	s.mu.Unlock()
 	return nil
 }
 
@@ -231,8 +251,8 @@ func (s *Store) Path() string { return s.path }
 // Close releases the append handle. Get keeps working on the in-memory
 // index; Put fails after Close.
 func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	if s.f == nil {
 		return nil
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCanonicalSortsKeysAndPreservesNumbers(t *testing.T) {
@@ -298,5 +299,60 @@ func TestStoreConcurrentReadMostly(t *testing.T) {
 	defer r.Close()
 	if r.Recovered() != 0 || r.Len() != preload+newRecords {
 		t.Errorf("reopen: recovered %d, len %d, want 0, %d", r.Recovered(), r.Len(), preload+newRecords)
+	}
+}
+
+// TestStoreGetDuringPutSync holds a Put inside its sync and requires Gets to
+// finish meanwhile: the earlier record is served, and the record being
+// synced stays invisible until its sync returns.
+func TestStoreGetDuringPutSync(t *testing.T) {
+	s, err := Open(filepath.Join(t.TempDir(), "store.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	durable, _ := KeyOf("t", "durable")
+	if err := s.Put(durable, json.RawMessage(`{"v":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	inSync := make(chan struct{})
+	release := make(chan struct{})
+	s.sync = func(f *os.File) error {
+		close(inSync)
+		<-release
+		return f.Sync()
+	}
+	pending, _ := KeyOf("t", "pending")
+	putErr := make(chan error, 1)
+	go func() { putErr <- s.Put(pending, json.RawMessage(`{"v":2}`)) }()
+	<-inSync
+
+	got := make(chan error, 1)
+	go func() {
+		if v, ok := s.Get(durable); !ok || string(v) != `{"v":1}` {
+			got <- fmt.Errorf("Get(durable) = %s, %v during a sync, want {\"v\":1}", v, ok)
+			return
+		}
+		if v, ok := s.Get(pending); ok {
+			got <- fmt.Errorf("Get(pending) = %s before its sync returned", v)
+			return
+		}
+		got <- nil
+	}()
+	select {
+	case err := <-got:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("Get blocked while a Put was inside its sync")
+	}
+	close(release)
+	if err := <-putErr; err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := s.Get(pending); !ok || string(v) != `{"v":2}` {
+		t.Errorf("Get(pending) = %s, %v after the sync, want {\"v\":2}", v, ok)
 	}
 }
